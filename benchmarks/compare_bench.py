@@ -15,7 +15,9 @@ baseline.  The compared metric depends on where the snapshots came from:
 
 Equivalence failures already abort inside the harness; this adds the
 performance floor the previous CI step lacked (it only failed on crash or
-broken equivalence).
+broken equivalence).  It also fails when the two snapshots name different
+equivalence gates, so a gate cannot be dropped (or added) without the
+committed baseline being refreshed.
 
 Usage:
     python benchmarks/compare_bench.py BENCH_sweep.smoke.json BENCH_sweep.json
@@ -40,6 +42,17 @@ def host_fingerprint(payload: dict) -> tuple:
 
 def load_payload(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def gate_set_differences(fresh: dict, baseline: dict) -> list[str]:
+    """Equivalence gates named by only one of the two snapshots."""
+    fresh_gates = set(fresh.get("equivalence", {}))
+    baseline_gates = set(baseline.get("equivalence", {}))
+    missing = sorted(baseline_gates - fresh_gates)
+    added = sorted(fresh_gates - baseline_gates)
+    return [f"{name}: missing from the fresh run" for name in missing] + [
+        f"{name}: not in the baseline (refresh it)" for name in added
+    ]
 
 
 def extract_metric(payload: dict, metric: str) -> dict[str, float]:
@@ -103,6 +116,12 @@ def main() -> int:
 
     fresh_payload = load_payload(args.fresh)
     baseline_payload = load_payload(args.baseline)
+    gate_differences = gate_set_differences(fresh_payload, baseline_payload)
+    if gate_differences:
+        print("equivalence gate set differs from the baseline's:", file=sys.stderr)
+        for difference in gate_differences:
+            print(f"  {difference}", file=sys.stderr)
+        return 1
     same_host = host_fingerprint(fresh_payload) == host_fingerprint(baseline_payload)
     metric = "throughput" if same_host else "speedup"
     unit = "u/s" if same_host else "x speedup"

@@ -25,7 +25,6 @@ from .qp_map import (
     PAPER_GAMMA,
     QpMapConfig,
     correlation_to_qp,
-    qp_map_for_block_grid,
     qp_map_statistics,
     qp_to_expected_correlation,
     uniform_qp_map,
@@ -63,7 +62,6 @@ __all__ = [
     "StreamingConfig",
     "UniformStreamer",
     "correlation_to_qp",
-    "qp_map_for_block_grid",
     "qp_map_statistics",
     "qp_to_expected_correlation",
     "uniform_qp_map",

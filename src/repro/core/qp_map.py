@@ -82,15 +82,6 @@ def qp_to_expected_correlation(qp: Union[float, np.ndarray], config: Optional[Qp
     return rho
 
 
-def qp_map_for_block_grid(
-    correlation_block_grid: np.ndarray,
-    config: Optional[QpMapConfig] = None,
-) -> np.ndarray:
-    """Equation (2) applied to a correlation map already on the codec block grid."""
-    qp = correlation_to_qp(np.asarray(correlation_block_grid, dtype=float), config)
-    return np.asarray(qp, dtype=float)
-
-
 def uniform_qp_map(shape: tuple[int, int], qp: float) -> np.ndarray:
     """The context-agnostic baseline: one QP everywhere."""
     if not MIN_QP <= qp <= MAX_QP:

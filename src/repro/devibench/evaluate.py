@@ -12,7 +12,7 @@ the benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -165,18 +165,6 @@ class BenchmarkEvaluator:
             mean_achieved_bitrate_bps=float(np.mean([e.achieved_bitrate_bps for e in evaluations])),
             evaluations=evaluations,
         )
-
-    def accuracy_bitrate_curve(
-        self,
-        target_bitrates_bps: Sequence[float],
-        context_aware: bool,
-        max_samples: Optional[int] = None,
-    ) -> list[EvaluationResult]:
-        """Accuracy at each target bitrate — one series of Figure 9."""
-        return [
-            self.evaluate(bitrate, context_aware, max_samples=max_samples)
-            for bitrate in target_bitrates_bps
-        ]
 
 
 def coarse_qa_breakage_rate(

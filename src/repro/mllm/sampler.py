@@ -111,13 +111,6 @@ class ReceiverSampler:
         prepared = self.prepare_frame(frame)
         return max(1, int(np.ceil(prepared.pixel_count / self.config.vision_patch_pixels)))
 
-    def tokens_for(self, frames: Sequence[VideoFrame]) -> int:
-        prepared, _ = self.prepare(frames)
-        return sum(
-            max(1, int(np.ceil(frame.pixel_count / self.config.vision_patch_pixels)))
-            for frame in prepared
-        )
-
 
 def perceived_throughput_bps(
     report: SamplingReport, duration_s: float, bits_per_pixel: float = 8.0

@@ -392,7 +392,6 @@ class EmulatedPath:
         deliver: Callable[[Packet, float], None],
         deliver_block: Optional[Callable[[Any, np.ndarray, np.ndarray, int, bool], None]] = None,
         lazy_dequeue: Optional[bool] = None,
-        deliver_single: Optional[Callable[[Any, int, float], None]] = None,
     ) -> None:
         self.loop = loop
         self.config = config
@@ -405,24 +404,7 @@ class EmulatedPath:
         #: ``lazy_dequeue`` overrides that default (the transport enables it
         #: for the feedback path alongside block mode).
         self._deliver_block = deliver_block
-        #: Per-packet block-delivery callback ``(context, offset, arrival)``.
-        #: When set (instead of ``deliver_block``), :meth:`send_block` still
-        #: batches drop decisions, admission, serialisation and jitter in
-        #: numpy, but schedules one arrival event per delivered packet — in
-        #: burst order at send time, exactly like per-packet :meth:`send`
-        #: calls, so the event-loop insertion order (and therefore every
-        #: same-instant tie-break) matches the scalar path bit-for-bit.  The
-        #: FEC transport uses this: parity decode decisions are coupled to
-        #: individual arrival instants in ways run-granular delivery does
-        #: not reproduce.
-        self._deliver_single = deliver_single
-        if deliver_block is not None and deliver_single is not None:
-            raise ValueError("deliver_block and deliver_single are mutually exclusive")
-        self._lazy_dequeue = (
-            (deliver_block is not None or deliver_single is not None)
-            if lazy_dequeue is None
-            else lazy_dequeue
-        )
+        self._lazy_dequeue = deliver_block is not None if lazy_dequeue is None else lazy_dequeue
         # FIFO of [finish_times, cumulative_bytes, consumed_pos] chunks; the
         # link serialises in order, so finish times are globally monotone
         # across chunks and draining front-to-back is exact.
@@ -457,9 +439,9 @@ class EmulatedPath:
         # Per-burst derived arrays memoised on the sizes array's identity:
         # fixed-bitrate senders offer the same (memoised) sizes array every
         # frame, so cumulative bytes and bit counts never change.  Two MRU
-        # slots, because an FEC sender alternates two arrays per frame (the
-        # data burst's sizes and the parity burst's); the held references
-        # keep the arrays alive, so identity comparison stays sound.
+        # slots, because each retransmission batch offers a fresh array that
+        # would otherwise evict the frame sizes; the held references keep
+        # the arrays alive, so identity comparison stays sound.
         self._burst_memo: list[list] = []
         self._ser_scratch = np.empty(96)
         self._queue_bytes = 0
@@ -715,25 +697,6 @@ class EmulatedPath:
                 self._jitter_rng.normal(0.0, self.config.jitter_std_s, size=len(keep))
             )
 
-        if self._deliver_single is not None:
-            # Per-packet delivery: one event per surviving packet, inserted
-            # now in burst order — the same heap insertion order per-packet
-            # send() calls would produce, so same-instant ties with timers
-            # resolve identically to the scalar path.
-            deliver = self._deliver_single
-            loop = self.loop
-            for offset, arrival, size in zip(
-                keep.tolist(), arrivals.tolist(), kept_sizes.tolist()
-            ):
-
-                def _arrive_one(offset: int = offset, size: int = size) -> None:
-                    stats.packets_delivered += 1
-                    stats.bytes_delivered += size
-                    deliver(context, offset, loop.now)
-
-                loop.schedule_at(arrival, _arrive_one)
-            return
-
         if jittered:
             # Reordered arrivals can interleave runs, so the whole burst is
             # one delivery unit at its earliest arrival.
@@ -796,24 +759,3 @@ class EmulatedPath:
             )
 
         self.loop.schedule_at(event_time, _arrive_run)
-
-
-class SymmetricPathPair:
-    """An uplink/downlink pair sharing an event loop.
-
-    The paper notes that AI Video Chat is asymmetric: video flows uplink only
-    while the MLLM reply (audio or text tokens) flows downlink at a much
-    lower rate.  The pair lets the transport model both directions, including
-    the feedback channel used for NACKs.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        uplink_config: PathConfig,
-        downlink_config: PathConfig,
-        deliver_uplink: Callable[[Packet, float], None],
-        deliver_downlink: Callable[[Packet, float], None],
-    ) -> None:
-        self.uplink = EmulatedPath(loop, uplink_config, deliver_uplink)
-        self.downlink = EmulatedPath(loop, downlink_config, deliver_downlink)

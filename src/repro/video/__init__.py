@@ -29,7 +29,6 @@ from .quality import (
     high_frequency_retention,
     mse,
     psnr,
-    region_psnr,
     region_quality,
     ssim,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "make_street_scene",
     "mse",
     "psnr",
-    "region_psnr",
     "region_quality",
     "ssim",
     "transcode_to_bitrate",

@@ -33,18 +33,6 @@ def psnr(original: np.ndarray, degraded: np.ndarray) -> float:
     return float(10.0 * np.log10(MAX_PIXEL**2 / error))
 
 
-def region_psnr(
-    original: np.ndarray,
-    degraded: np.ndarray,
-    region: tuple[int, int, int, int],
-) -> float:
-    """PSNR restricted to a pixel region ``(row0, row1, col0, col1)``."""
-    row0, row1, col0, col1 = region
-    if row1 <= row0 or col1 <= col0:
-        raise ValueError(f"empty region {region}")
-    return psnr(original[row0:row1, col0:col1], degraded[row0:row1, col0:col1])
-
-
 def ssim(original: np.ndarray, degraded: np.ndarray, window: int = 8) -> float:
     """A windowed structural-similarity index (simplified SSIM).
 

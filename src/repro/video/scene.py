@@ -152,9 +152,6 @@ class Scene:
                 return obj
         raise KeyError(f"no object named {name!r} in scene {self.name!r}")
 
-    def facts_by_category(self, category: str) -> list[SceneFact]:
-        return [fact for fact in self.facts if fact.category == category]
-
     @property
     def frame_count(self) -> int:
         return max(1, int(round(self.duration_s * self.fps)))

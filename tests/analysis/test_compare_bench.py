@@ -92,6 +92,26 @@ class TestMain:
         assert compare_bench.main() == 1
         assert "regression" in capsys.readouterr().err
 
+    def test_equivalence_gate_set_mismatch_fails(self, tmp_path, monkeypatch, capsys):
+        """A gate dropped from (or added to) the fresh run is an error even
+        when every workload's throughput holds."""
+        baseline = _snapshot([("w", 10.0, 1.0)])
+        baseline["equivalence"] = {"a": True, "b": True}
+        base_path = _write(tmp_path, "base.json", baseline)
+        for gates, expected in (
+            ({"a": True, "b": True}, 0),
+            ({"a": True}, 1),
+            ({"a": True, "b": True, "c": True}, 1),
+        ):
+            fresh = _snapshot([("w", 10.0, 1.0)])
+            fresh["equivalence"] = gates
+            fresh_path = _write(tmp_path, "fresh.json", fresh)
+            monkeypatch.setattr(
+                "sys.argv", ["compare_bench.py", str(fresh_path), str(base_path)]
+            )
+            assert compare_bench.main() == expected, gates
+        assert "c: not in the baseline" in capsys.readouterr().err
+
     def test_old_schema_baseline_skips(self, tmp_path, monkeypatch, capsys):
         baseline = _write(
             tmp_path, "base.json", {"benchmarks": [{"name": "w", "after_s": 1.0}]}

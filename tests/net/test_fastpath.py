@@ -267,14 +267,14 @@ class TestHorizonEquivalence:
 
 
 class TestFecSessionEquivalence:
-    """FEC sessions ride the batched send path (per-packet delivery).
+    """FEC sessions send and deliver per packet under either mode.
 
-    The sender and emulated path batch drop decisions, admission,
-    serialisation and jitter; delivery stays per-packet because parity
-    decode decisions are coupled to individual arrival instants.  Every
-    observable — latency summary, recovery/spurious counters, per-frame
-    completion instants, retransmission counts — must match the scalar
-    reference (``REPRO_NET_FASTPATH=0``) bit-for-bit.
+    Only drop decisions are drawn in blocks under the fast path; delivery
+    stays per-packet because parity decode decisions are coupled to
+    individual arrival instants.  Every observable — latency summary,
+    recovery/spurious counters, per-frame completion instants,
+    retransmission counts — must match the scalar reference
+    (``REPRO_NET_FASTPATH=0``) bit-for-bit.
     """
 
     @pytest.mark.parametrize(
@@ -307,7 +307,13 @@ class TestFecSessionEquivalence:
         fec = dict(result[5])
         assert fec["recovered_packets"] > 0
 
-    def test_fec_session_selects_packet_block_mode(self, monkeypatch):
+    def test_fec_session_sends_per_packet(self, monkeypatch):
+        """An FEC session never takes block delivery, yet its uplink still
+        draws drop decisions in blocks under the fast path; the emulated
+        path offers no delivery mode beyond per-packet and block."""
+        import inspect
+
+        from repro.net.emulator import DEFAULT_DROP_BLOCK_SIZE, EmulatedPath
         from repro.net.fec import FecConfig
         from repro.net.transport import TransportConfig, VideoTransportSession
 
@@ -315,31 +321,35 @@ class TestFecSessionEquivalence:
         session = VideoTransportSession(
             transport_config=TransportConfig(fec=FecConfig(group_size=5))
         )
-        assert session.packet_block_mode and not session.block_mode
-        monkeypatch.setenv(FASTPATH_ENV, "0")
-        reference = VideoTransportSession(
-            transport_config=TransportConfig(fec=FecConfig(group_size=5))
-        )
-        assert not reference.packet_block_mode and not reference.block_mode
+        assert not session.block_mode
+        assert session.uplink._drop_block_size == DEFAULT_DROP_BLOCK_SIZE
+        assert list(inspect.signature(EmulatedPath).parameters) == [
+            "loop",
+            "config",
+            "deliver",
+            "deliver_block",
+            "lazy_dequeue",
+        ]
 
-    def test_protect_burst_matches_protect(self):
-        """Parity built from a sizes array must equal parity built from
-        materialised packets, field for field."""
-        import dataclasses
 
-        from repro.net.fec import FecConfig, FecEncoder
-        from repro.net.packet import Packetizer
+class TestHighLossBlockDivergence:
+    """Known limit of block delivery, pinned until it is fixed.
 
-        for frame_bytes in (500, 7_001, 28_000):
-            packetizer_a, packetizer_b = Packetizer(), Packetizer()
-            encoder_a = FecEncoder(FecConfig(group_size=5))
-            encoder_b = FecEncoder(FecConfig(group_size=5))
-            packets = packetizer_a.packetize(3, frame_bytes, 0.25)
-            sizes = packetizer_b.packet_sizes(frame_bytes)
-            packetizer_b.allocate_sequences(len(sizes))
-            from_packets = encoder_a.protect(packets, packetizer_a)
-            from_sizes = encoder_b.protect_burst(3, len(sizes), sizes, 0.25)
-            assert len(from_packets) == len(from_sizes) >= 1
-            for a, b in zip(from_packets, from_sizes):
-                for field_ in dataclasses.fields(a):
-                    assert getattr(a, field_.name) == getattr(b, field_.name), field_.name
+    At 20% uplink loss the FEC-free block path is not bit-identical to the
+    scalar reference: 6 of seeds 0-39 (5, 13, 15, 32, 33, 35) differ.  The
+    equivalence gates run at lower loss (2% i.i.d., about 3-6% bursty) and
+    miss it.  The marks are strict, so the fix must remove them.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="block delivery diverges at 20% loss")
+    @pytest.mark.parametrize("seed", [5, 13])
+    def test_fastpath_on_off_identical_at_20pct_loss(self, monkeypatch, seed):
+        from repro.analysis.perfbench import _run_session
+
+        results = {}
+        for fast in ("0", "1"):
+            monkeypatch.setenv(FASTPATH_ENV, fast)
+            results[fast] = _run_session(
+                4.0, BernoulliLoss(0.2), None, seed=seed, bitrate_bps=2e6
+            )
+        assert results["0"] == results["1"]
