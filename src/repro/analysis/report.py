@@ -15,6 +15,11 @@ Run it directly over any results directory::
 
 or ask ``examples/sweep_scenarios.py`` for ``--report`` to aggregate the
 sweep it just ran.
+
+It also renders single experiment results as text tables
+(:func:`format_figure3`, :func:`format_figure5`, :func:`format_figure9`,
+:func:`format_mapping`).  The benchmarks print these so that a run of
+``pytest benchmarks/`` produces the same rows and series the paper reports.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 from ..obs import FAULT_AXES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .experiments import Figure3Row, Figure5Case, Figure9Point
     from .sweeps import SweepReport
 
 __all__ = [
@@ -44,6 +50,10 @@ __all__ = [
     "digest_results_dir",
     "digest_sweep_report",
     "write_report",
+    "format_figure3",
+    "format_figure5",
+    "format_figure9",
+    "format_mapping",
     "main",
 ]
 
@@ -531,6 +541,64 @@ def write_report(digest: SweepDigest, out_dir: str | Path) -> dict[str, Path]:
         handle.write("\n")
     md_path.write_text(digest.render_markdown(), encoding="utf-8")
     return {"json": json_path, "markdown": md_path}
+
+
+# ---------------------------------------------------------------------------
+# Experiment tables
+# ---------------------------------------------------------------------------
+
+
+def format_figure3(rows: Sequence[Figure3Row]) -> str:
+    """Figure 3 as a text table: latency vs bitrate for each loss rate."""
+    lines = [f"{'loss':>6} {'bitrate (Mbps)':>15} {'mean (ms)':>11} {'p95 (ms)':>10} {'delivered':>10}"]
+    for row in sorted(rows, key=lambda r: (r.loss_rate, r.bitrate_bps)):
+        lines.append(
+            f"{row.loss_rate:>6.2f} {row.bitrate_bps / 1e6:>15.2f} {row.mean_latency_ms:>11.1f} "
+            f"{row.p95_latency_ms:>10.1f} {row.delivery_ratio:>10.2f}"
+        )
+    return "\n".join(lines)
+
+
+def format_figure5(cases: Sequence[Figure5Case]) -> str:
+    """Figure 5 as text: the most-correlated region per dialogue."""
+    lines = []
+    for case in cases:
+        ranked = sorted(case.region_correlations.items(), key=lambda kv: kv[1], reverse=True)
+        top = ", ".join(f"{name}={value:+.2f}" for name, value in ranked[:3])
+        marker = "✓" if case.target_is_most_relevant else "✗"
+        lines.append(f"[{marker}] {case.question!r} → expected {case.target_object}; top: {top}")
+    return "\n".join(lines)
+
+
+def format_figure9(points: Sequence[Figure9Point]) -> str:
+    """Figure 9 as text: accuracy/bitrate pairs per method."""
+    lines = [f"{'method':>15} {'target (kbps)':>14} {'achieved (kbps)':>16} {'accuracy':>9}"]
+    for point in sorted(points, key=lambda p: (p.method, -p.target_bitrate_bps)):
+        lines.append(
+            f"{point.method:>15} {point.target_bitrate_bps / 1000:>14.0f} "
+            f"{point.achieved_bitrate_bps / 1000:>16.0f} {point.accuracy:>9.2f}"
+        )
+    return "\n".join(lines)
+
+
+def format_mapping(title: str, mapping: Mapping[str, object], indent: int = 2) -> str:
+    """Generic key/value rendering used by the smaller experiments."""
+    pad = " " * indent
+    lines = [title]
+    for key, value in mapping.items():
+        if isinstance(value, Mapping):
+            lines.append(f"{pad}{key}:")
+            for inner_key, inner_value in value.items():
+                lines.append(f"{pad}{pad}{inner_key}: {_fmt(inner_value)}")
+        else:
+            lines.append(f"{pad}{key}: {_fmt(value)}")
+    return "\n".join(lines)
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return str(value)
 
 
 # ---------------------------------------------------------------------------

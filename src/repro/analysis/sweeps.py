@@ -222,11 +222,6 @@ def scenario_slug(name: str) -> str:
     return slug or "scenario"
 
 
-def _package_source_files() -> list[Path]:
-    package_root = Path(__file__).resolve().parent.parent
-    return sorted(package_root.rglob("*.py"))
-
-
 def _compute_package_fingerprint() -> str:
     """Content hash of the entire ``repro`` source tree.
 
@@ -238,45 +233,11 @@ def _compute_package_fingerprint() -> str:
     """
     package_root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
-    for path in _package_source_files():
+    for path in sorted(package_root.rglob("*.py")):
         digest.update(str(path.relative_to(package_root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-    return digest.hexdigest()
-
-
-#: Env var overriding where the fingerprint memo lives (useful for tests and
-#: read-only home directories).  An empty value disables the memo.
-FINGERPRINT_MEMO_ENV = "REPRO_FINGERPRINT_CACHE"
-
-
-def _fingerprint_memo_path() -> Optional[Path]:
-    configured = os.environ.get(FINGERPRINT_MEMO_ENV)
-    if configured is not None:
-        return Path(configured) if configured else None
-    # One memo per checkout: distinct working copies share ~/.cache, and a
-    # single file keyed only by relative paths would make them overwrite
-    # each other's memo on every alternating run.
-    package_root = str(Path(__file__).resolve().parent.parent)
-    root_tag = hashlib.sha256(package_root.encode()).hexdigest()[:12]
-    return Path.home() / ".cache" / "repro" / f"fingerprint-{root_tag}.json"
-
-
-def _tree_state_key() -> str:
-    """Cheap stat-based key over the source tree: (path, mtime_ns, size).
-
-    Reading metadata for ~100 files is orders of magnitude cheaper than
-    hashing their contents; if no file was touched since the memo was
-    written, the memoised content fingerprint is still valid.
-    """
-    digest = hashlib.sha256()
-    package_root = Path(__file__).resolve().parent.parent
-    for path in _package_source_files():
-        stat = path.stat()
-        digest.update(
-            f"{path.relative_to(package_root)}|{stat.st_mtime_ns}|{stat.st_size}\0".encode()
-        )
     return digest.hexdigest()
 
 
@@ -292,14 +253,10 @@ def _package_fingerprint() -> str:
     longer matches.  (An edit landing between import and the first sweep
     of a process can still skew the snapshot — restart the process after
     editing source, as with any Python code change.)
-
-    Across processes an mtime-keyed on-disk memo avoids re-hashing the
-    whole tree: when no source file's (mtime, size) changed since the memo
-    was written, the stored content fingerprint is reused.
     """
     global _package_fingerprint_cache
     if _package_fingerprint_cache is None:
-        _package_fingerprint_cache = _load_or_compute_fingerprint()
+        _package_fingerprint_cache = _compute_package_fingerprint()
     return _package_fingerprint_cache
 
 
@@ -307,31 +264,6 @@ def _set_package_fingerprint(value: Optional[str]) -> None:
     """Pin the in-process fingerprint (pool initializer / tests)."""
     global _package_fingerprint_cache
     _package_fingerprint_cache = value
-
-
-def _load_or_compute_fingerprint() -> str:
-    memo_path = _fingerprint_memo_path()
-    state: Optional[str] = None
-    if memo_path is not None:
-        try:
-            state = _tree_state_key()
-            memo = json.loads(memo_path.read_text(encoding="utf-8"))
-            if memo.get("state") == state and isinstance(memo.get("fingerprint"), str):
-                return memo["fingerprint"]
-        except (OSError, ValueError):
-            pass
-    fingerprint = _compute_package_fingerprint()
-    if memo_path is not None and state is not None:
-        try:
-            memo_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = memo_path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps({"state": state, "fingerprint": fingerprint}), encoding="utf-8"
-            )
-            tmp.replace(memo_path)
-        except OSError:
-            pass  # memo is an optimisation; never fail a sweep over it
-    return fingerprint
 
 
 def cell_cache_key(spec: ExperimentSpec, scenario: Scenario, seed: int) -> str:

@@ -1,8 +1,8 @@
 """CLI for reprolint: ``python -m repro.lint [--format text|json] ...``.
 
-Exit status: 0 when the tree is clean (no findings beyond inline
-suppressions and live baseline entries), 1 when any finding, stale
-baseline entry, or forbidden baseline entry survives, 2 on usage errors.
+Exit status: 0 when the tree is clean (every finding, if any, is
+suppressed inline), 1 when any finding survives, 2 on usage errors or an
+unreadable root.
 """
 
 from __future__ import annotations
@@ -14,34 +14,19 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .baseline import FORBIDDEN_PREFIXES, BaselineError, render_baseline
 from .checkers import RULES
-from .engine import LintResult, lint_root, source_lines_map
+from .engine import LintResult, lint_root
 
 #: src/repro — the default scan root.
 PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-#: <repo>/lint_baseline.json, two levels above the package (src layout).
-DEFAULT_BASELINE = PACKAGE_ROOT.parent.parent / "lint_baseline.json"
-
 
 def _render_text(result: LintResult) -> str:
     lines = [finding.render() for finding in result.findings]
-    for rule, path, content in result.stale_baseline:
-        lines.append(
-            f"{path}: {rule}: stale baseline entry (no current finding matches "
-            f"{content!r}) — remove it from the baseline"
-        )
-    for rule, path, content in result.forbidden_baseline:
-        lines.append(
-            f"{path}: {rule}: baseline entries are forbidden under "
-            f"{'/'.join(p.rstrip('/') for p in FORBIDDEN_PREFIXES)}: fix the "
-            "violation or suppress it inline with a visible justification"
-        )
     verdict = "clean" if result.clean else f"{len(result.findings)} finding(s)"
     lines.append(
         f"reprolint: {result.files_checked} file(s) checked, {verdict}, "
-        f"{len(result.baselined)} baselined, {result.suppressed} suppressed inline"
+        f"{result.suppressed} suppressed inline"
     )
     return "\n".join(lines)
 
@@ -65,27 +50,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--format", choices=("text", "json"), default="text", help="report format"
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            "baseline file of reviewed exemptions (default: the repo's "
-            "lint_baseline.json when linting the default root)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline, report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the current findings to FILE as a fresh baseline and exit",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and rationale"
     )
     args = parser.parse_args(argv)
@@ -95,45 +59,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{rule}: {rationale}")
         return 0
 
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = args.baseline
-        elif args.root == PACKAGE_ROOT and DEFAULT_BASELINE.exists():
-            baseline_path = DEFAULT_BASELINE
-
     try:
-        result = lint_root(
-            args.root,
-            baseline_path=None if args.write_baseline is not None else baseline_path,
-        )
-    except BaselineError as exc:
-        print(f"reprolint: {exc}", file=sys.stderr)
-        return 2
+        result = lint_root(args.root)
     except OSError as exc:
         print(f"reprolint: cannot scan {args.root}: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        blocked = [
-            finding
-            for finding in result.findings
-            if any(finding.path.startswith(prefix) for prefix in FORBIDDEN_PREFIXES)
-        ]
-        if blocked:
-            for finding in blocked:
-                print(finding.render(), file=sys.stderr)
-            print(
-                f"reprolint: refusing to baseline {len(blocked)} finding(s) under "
-                "net/ or distrib/ — fix them or suppress inline",
-                file=sys.stderr,
-            )
-            return 1
-        args.write_baseline.write_text(
-            render_baseline(result.findings, source_lines_map(args.root)), encoding="utf-8"
-        )
-        print(f"reprolint: wrote {len(result.findings)} entries to {args.write_baseline}")
-        return 0
 
     if args.format == "json":
         print(json.dumps(result.to_jsonable(), indent=2, sort_keys=True))

@@ -126,46 +126,6 @@ class TestSeedingAndHashing:
         assert len(sweeps._package_fingerprint()) == 64
 
 
-class TestFingerprintMemo:
-    def _fresh(self, monkeypatch, tmp_path, name="memo.json"):
-        memo = tmp_path / name
-        monkeypatch.setenv(sweeps.FINGERPRINT_MEMO_ENV, str(memo))
-        monkeypatch.setattr(sweeps, "_package_fingerprint_cache", None)
-        return memo
-
-    def test_memo_written_and_reused(self, monkeypatch, tmp_path):
-        memo = self._fresh(monkeypatch, tmp_path)
-        first = sweeps._package_fingerprint()
-        assert memo.exists()
-        stored = json.loads(memo.read_text())
-        assert stored["fingerprint"] == first
-
-        # A fresh process (cleared in-memory cache) with an untouched tree
-        # must reuse the memo instead of re-hashing file contents.
-        monkeypatch.setattr(sweeps, "_package_fingerprint_cache", None)
-        monkeypatch.setattr(
-            sweeps, "_compute_package_fingerprint", lambda: pytest.fail("re-hashed tree")
-        )
-        assert sweeps._package_fingerprint() == first
-
-    def test_stale_memo_recomputed(self, monkeypatch, tmp_path):
-        memo = self._fresh(monkeypatch, tmp_path)
-        memo.write_text(json.dumps({"state": "stale", "fingerprint": "bogus"}))
-        assert sweeps._package_fingerprint() != "bogus"
-        assert json.loads(memo.read_text())["fingerprint"] != "bogus"
-
-    def test_corrupt_memo_tolerated(self, monkeypatch, tmp_path):
-        memo = self._fresh(monkeypatch, tmp_path)
-        memo.write_text("{not json")
-        assert len(sweeps._package_fingerprint()) == 64
-
-    def test_memo_disabled_by_empty_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(sweeps.FINGERPRINT_MEMO_ENV, "")
-        monkeypatch.setattr(sweeps, "_package_fingerprint_cache", None)
-        assert len(sweeps._package_fingerprint()) == 64
-        assert not list(tmp_path.iterdir())
-
-
 class TestScenarioSlug:
     def test_safe_names_unchanged(self):
         assert scenario_slug("bernoulli-0.02") == "bernoulli-0.02"
