@@ -34,7 +34,7 @@ def main() -> None:
     streamer = ContextAwareStreamer()
 
     # 1. Reactive context awareness: the user just asked about the dog's ears.
-    reactive = streamer.correlation_for(scene, ear_fact.question, frame)
+    reactive = streamer.correlation_for(scene, ear_fact.question)
     print("reactive: most relevant patches", reactive.top_patches(3))
 
     # 2. Proactive: before the next question arrives, blend saliency with the

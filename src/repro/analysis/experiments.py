@@ -266,8 +266,7 @@ def run_figure5_correlation_maps(seed: int = 0, height: int = 360, width: int = 
 
     results = []
     for scene, question, target in cases:
-        frame = scene.render(0)
-        correlation = clip.correlation_map(scene, question, frame_pixels=frame, original_pixels=frame)
+        correlation = clip.correlation_map(scene, question)
         region_correlations = {}
         for obj in scene.objects:
             region = obj.pixel_region(scene.height, scene.width)
@@ -508,11 +507,10 @@ def run_ablation_patch_size(
 ) -> dict[int, float]:
     """Client-side CLIP compute cost versus patch size (Section 4 discussion)."""
     scene = make_park_scene(seed, height=height, width=width)
-    frame = scene.render(0)
     results = {}
     for patch in patch_sizes:
         streamer = ContextAwareStreamer(StreamingConfig(patch_size=patch))
-        correlation = streamer.correlation_for(scene, "Is the dog erect-eared?", frame)
+        correlation = streamer.correlation_for(scene, "Is the dog erect-eared?")
         results[int(patch)] = correlation.compute_latency_ms
     return results
 
@@ -526,7 +524,7 @@ def run_ablation_proactive(seed: int = 4, height: int = 360, width: int = 640) -
     region = scene.object_by_name(fact.object_name).pixel_region(height, width)
 
     streamer = ContextAwareStreamer()
-    reactive = streamer.correlation_for(scene, fact.question, frame)
+    reactive = streamer.correlation_for(scene, fact.question)
     saliency = SaliencyProactivePolicy(patch_size=streamer.config.patch_size).importance_map(frame)
     hybrid_policy = HybridProactivePolicy(patch_size=streamer.config.patch_size)
     hybrid_policy.observe(reactive)
@@ -555,7 +553,7 @@ def run_ablation_token_pruning(
     fact = next(f for f in scene.facts if f.key == "score")
     region = scene.object_by_name(fact.object_name).pixel_region(height, width)
     streamer = ContextAwareStreamer()
-    correlation = streamer.correlation_for(scene, fact.question, frame)
+    correlation = streamer.correlation_for(scene, fact.question)
 
     results = {}
     for ratio in keep_ratios:
@@ -579,7 +577,7 @@ def run_ablation_semantic_layers(seed: int = 6, height: int = 360, width: int = 
     fact = next(f for f in scene.facts if f.key == "score")
     region = scene.object_by_name(fact.object_name).pixel_region(height, width)
     streamer = ContextAwareStreamer()
-    correlation = streamer.correlation_for(scene, fact.question, frame)
+    correlation = streamer.correlation_for(scene, fact.question)
 
     encoder = SemanticLayeredEncoder()
     layered = encoder.encode(frame.pixels, correlation)

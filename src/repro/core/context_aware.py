@@ -87,19 +87,18 @@ class ContextAwareStreamer:
         self,
         scene: Scene,
         user_words: str,
-        frame: Optional[Union[VideoFrame, np.ndarray]] = None,
+        *,
         extra_concepts: Sequence[str] = (),
         time_s: float = 0.0,
     ) -> CorrelationMap:
-        """Semantic correlation of every patch against the current user words."""
-        pixels = frame.pixels if isinstance(frame, VideoFrame) else frame
+        """Semantic correlation of every patch against the current user words.
+
+        The client runs CLIP on the raw captured frame, whose detail is all
+        still there, so no pixels enter the map: comparing the frame with
+        itself would leave every patch fully visible.
+        """
         return self.clip.correlation_map(
-            scene,
-            user_words,
-            frame_pixels=pixels,
-            original_pixels=pixels,
-            extra_concepts=extra_concepts,
-            time_s=time_s,
+            scene, user_words, extra_concepts=extra_concepts, time_s=time_s
         )
 
     # -- Equation (2): QP map -----------------------------------------------
@@ -142,7 +141,7 @@ class ContextAwareStreamer:
         frame_id = frame.frame_id if isinstance(frame, VideoFrame) else frame_id
 
         correlation = self.correlation_for(
-            scene, user_words, pixels, extra_concepts=extra_concepts, time_s=timestamp
+            scene, user_words, extra_concepts=extra_concepts, time_s=timestamp
         )
         qp_map = self.qp_map_for(correlation, pixels.shape)
 

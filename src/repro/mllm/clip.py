@@ -118,11 +118,7 @@ class ClipTextEncoder:
         self.config = config or ClipConfig()
 
     def encode(self, text: str, extra_concepts: Sequence[str] = ()) -> np.ndarray:
-        concepts = self.space.extract_concepts(text)
-        for concept in extra_concepts:
-            if concept not in concepts:
-                concepts.append(concept)
-        return self.space.encode_concepts(concepts)
+        return self.space.encode_concepts(self.concepts(text, extra_concepts))
 
     def concepts(self, text: str, extra_concepts: Sequence[str] = ()) -> tuple[str, ...]:
         concepts = self.space.extract_concepts(text)
@@ -157,13 +153,16 @@ class ClipPatchEncoder:
 
     def encode_patch(
         self,
-        scene: Scene,
         patch_box: tuple[int, int, int, int],
+        object_boxes: Sequence[tuple[SceneObject, tuple[int, int, int, int]]],
         decoded_patch: Optional[np.ndarray] = None,
         original_patch: Optional[np.ndarray] = None,
-        time_s: float = 0.0,
     ) -> np.ndarray:
-        """Feature vector for the patch at ``patch_box`` (row0, row1, col0, col1)."""
+        """Feature vector for the patch at ``patch_box`` (row0, row1, col0, col1).
+
+        ``object_boxes`` pairs each scene object with its pixel region in the
+        frame, as :meth:`SceneObject.pixel_region` gives it.
+        """
         concepts: list[str] = ["background"]
         weights: list[float] = [self.config.background_weight]
 
@@ -171,8 +170,7 @@ class ClipPatchEncoder:
         if decoded_patch is not None and original_patch is not None and original_patch.size > 0:
             visibility = high_frequency_retention(original_patch, decoded_patch)
 
-        for obj in scene.objects:
-            object_box = obj.pixel_region(scene.height, scene.width, time_s)
+        for obj, object_box in object_boxes:
             overlap = self._overlap_fraction(patch_box, object_box)
             if overlap <= 0.0:
                 continue
@@ -214,8 +212,9 @@ class MobileClip:
         patches_y = int(np.ceil(height / patch))
         patches_x = int(np.ceil(width / patch))
 
-        text_feature = self.text_encoder.encode(user_words, extra_concepts)
         query_concepts = self.text_encoder.concepts(user_words, extra_concepts)
+        text_feature = self.space.encode_concepts(query_concepts)
+        object_boxes = [(obj, obj.pixel_region(height, width, time_s)) for obj in scene.objects]
 
         values = np.zeros((patches_y, patches_x))
         for row in range(patches_y):
@@ -229,11 +228,10 @@ class MobileClip:
                 if original_pixels is not None:
                     original_patch = original_pixels[row0:row1, col0:col1]
                 patch_feature = self.patch_encoder.encode_patch(
-                    scene,
                     (row0, row1, col0, col1),
+                    object_boxes,
                     decoded_patch=decoded_patch,
                     original_patch=original_patch,
-                    time_s=time_s,
                 )
                 values[row, col] = cosine_similarity(patch_feature, text_feature)
 

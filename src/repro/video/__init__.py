@@ -11,6 +11,7 @@ from .codec import (
     MAX_QP,
     MIN_QP,
     BlockCodec,
+    BlockTransform,
     CodecConfig,
     EncodedFrame,
     average_bitrate_bps,
@@ -65,6 +66,7 @@ from .transcode import TranscodeResult, concatenate_side_by_side, transcode_to_b
 __all__ = [
     "ArrayVideoSource",
     "BlockCodec",
+    "BlockTransform",
     "CATEGORIES",
     "CATEGORY_ACTION",
     "CATEGORY_ATTRIBUTE",

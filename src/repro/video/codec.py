@@ -89,6 +89,15 @@ class EncodedFrame:
         return float(self.bits_per_block[br0:br1, bc0:bc1].sum())
 
 
+@dataclass(frozen=True)
+class BlockTransform:
+    """A frame's block-DCT coefficients: the half of an encode that QP does not change."""
+
+    shape: tuple[int, int]
+    padded_shape: tuple[int, int]
+    coefficients: np.ndarray  # (blocks_y, blocks_x, block, block)
+
+
 def _pad_to_blocks(pixels: np.ndarray, block: int) -> np.ndarray:
     height, width = pixels.shape
     pad_h = (-height) % block
@@ -141,28 +150,43 @@ class BlockCodec:
 
     # -- encode / decode ----------------------------------------------------
 
+    def transform(self, pixels: np.ndarray) -> BlockTransform:
+        """Pad a luma array to whole blocks and take each block's 2-D DCT."""
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if pixels.ndim != 2:
+            raise ValueError(f"expected a 2-D luma array, got shape {pixels.shape}")
+        padded = _pad_to_blocks(pixels, self.config.block_size)
+        blocks = _to_blocks(padded, self.config.block_size)
+        return BlockTransform(
+            shape=pixels.shape,
+            padded_shape=padded.shape,
+            coefficients=dctn(blocks, axes=(2, 3), norm="ortho"),
+        )
+
     def encode(
         self,
-        pixels: np.ndarray,
+        pixels: Union[np.ndarray, BlockTransform],
         qp: Union[int, float, np.ndarray] = 30,
         frame_id: int = 0,
         timestamp: float = 0.0,
         is_keyframe: bool = True,
     ) -> EncodedFrame:
-        """Encode a luma array with a scalar QP or a per-block QP map."""
-        pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.ndim != 2:
-            raise ValueError(f"expected a 2-D luma array, got shape {pixels.shape}")
-        height, width = pixels.shape
+        """Encode a luma array with a scalar QP or a per-block QP map.
+
+        ``pixels`` may also be the frame's :meth:`transform`, so a caller that
+        encodes one frame at several QPs transforms it only once.
+        """
+        transformed = pixels if isinstance(pixels, BlockTransform) else self.transform(pixels)
         block = self.config.block_size
+        if transformed.coefficients.shape[2:] != (block, block):
+            raise ValueError(
+                f"transform has {transformed.coefficients.shape[2:]} blocks, codec uses {block}"
+            )
+        height, width = transformed.shape
         qp_map = self._expand_qp_map(qp, height, width)
 
-        padded = _pad_to_blocks(pixels, block)
-        blocks = _to_blocks(padded, block)
-        coefficients = dctn(blocks, axes=(2, 3), norm="ortho")
-
         steps = self.config.quantisation_step(qp_map)[:, :, None, None]
-        quantised = np.round(coefficients / steps).astype(np.int32)
+        quantised = np.round(transformed.coefficients / steps).astype(np.int32)
 
         bits_per_block = self._estimate_bits(quantised)
         total_bits = float(bits_per_block.sum()) + self.config.frame_header_bits
@@ -171,7 +195,7 @@ class BlockCodec:
             frame_id=frame_id,
             timestamp=timestamp,
             shape=(height, width),
-            padded_shape=padded.shape,
+            padded_shape=transformed.padded_shape,
             block_size=block,
             qp_map=qp_map,
             quantised=quantised,
@@ -203,16 +227,18 @@ class BlockCodec:
     def _estimate_bits(self, quantised: np.ndarray) -> np.ndarray:
         """Entropy-style bit estimate per block.
 
-        Each non-zero coefficient of magnitude ``m`` costs roughly
+        Each non-zero coefficient of magnitude ``m`` costs
         ``2*floor(log2(m)) + 3`` bits (signed exp-Golomb); zero coefficients
         are nearly free thanks to run-length coding, which we charge at a
-        small constant aggregated into the block header.
+        small constant aggregated into the block header.  ``np.frexp`` gives
+        ``m = f * 2**e`` with ``f`` in [0.5, 1), so ``e = floor(log2(m)) + 1``
+        and the cost is ``2*e + 1``; ``frexp(0)`` has ``e = 0``, so the sum
+        of ``2*e`` over a block needs only one more bit per non-zero.
         """
-        magnitude = np.abs(quantised).astype(np.float64)
-        nonzero = magnitude > 0
-        coefficient_bits = np.where(nonzero, 2.0 * np.floor(np.log2(np.maximum(magnitude, 1))) + 3.0, 0.0)
-        per_block = coefficient_bits.sum(axis=(2, 3)) + self.config.header_bits_per_block
-        return per_block
+        magnitude = np.abs(quantised)
+        _, exponent = np.frexp(magnitude)
+        bits = 2 * exponent.sum(axis=(2, 3), dtype=np.int64) + np.count_nonzero(magnitude, axis=(2, 3))
+        return bits.astype(np.float64) + self.config.header_bits_per_block
 
 
 def encode_video(

@@ -67,13 +67,15 @@ def encode_at_target_bitrate(
     low_offset = float(MIN_QP - base.max())
     high_offset = float(MAX_QP - base.min())
 
+    # The transform does not depend on QP: take it once, quantise it per probe.
+    transformed = codec.transform(pixels)
     best: Optional[tuple[float, EncodedFrame, float]] = None
     iterations = 0
     offset = 0.0
     for iterations in range(1, max_iterations + 1):
         offset = (low_offset + high_offset) / 2.0
         encoded = codec.encode(
-            pixels,
+            transformed,
             _clamped_qp(base_qp_map, offset),
             frame_id=frame_id,
             timestamp=timestamp,

@@ -160,7 +160,10 @@ class Scene:
 
     def _background(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        yy, xx = np.mgrid[0 : self.height, 0 : self.width]
+        # A row and a column of coordinates, broadcast to the frame, so sin
+        # and cos run on width + height values rather than once per pixel.
+        xx = np.arange(self.width)[None, :]
+        yy = np.arange(self.height)[:, None]
         gradient = 70 + 60 * (xx / max(self.width - 1, 1)) + 25 * (yy / max(self.height - 1, 1))
         # A smooth low-frequency undulation so the background is not trivially flat.
         phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
@@ -169,7 +172,7 @@ class Scene:
         )
         return gradient + undulation
 
-    def _object_texture(self, obj: SceneObject, rows: int, cols: int, time_s: float) -> np.ndarray:
+    def _object_texture(self, obj: SceneObject, rows: int, cols: int) -> np.ndarray:
         """Texture whose spatial frequency grows with the object's detail scale."""
         rng = np.random.default_rng(self.seed * 1009 + obj.texture_seed)
         yy, xx = np.mgrid[0:rows, 0:cols]
@@ -189,10 +192,10 @@ class Scene:
         if not 0 <= frame_index < self.frame_count:
             raise IndexError(f"frame index {frame_index} out of range [0, {self.frame_count})")
         time_s = frame_index / self.fps
-        frame = self._background().copy()
+        frame = self._background()
         for obj in self.objects:
             row0, row1, col0, col1 = obj.pixel_region(self.height, self.width, time_s)
-            texture = self._object_texture(obj, row1 - row0, col1 - col0, time_s)
+            texture = self._object_texture(obj, row1 - row0, col1 - col0)
             frame[row0:row1, col0:col1] = texture
         return np.clip(frame, 0, 255)
 

@@ -134,7 +134,7 @@ class TestQpMapping:
 class TestContextAwareStreamer:
     def test_qp_map_gives_important_region_lowest_qp(self, scene, frame, score_fact):
         streamer = ContextAwareStreamer()
-        correlation = streamer.correlation_for(scene, score_fact.question, frame)
+        correlation = streamer.correlation_for(scene, score_fact.question)
         qp_map = streamer.qp_map_for(correlation, frame.pixels.shape)
         block = streamer.codec.config.block_size
         region = scene.object_by_name("scoreboard").pixel_region(scene.height, scene.width)

@@ -27,10 +27,10 @@ def frame(scene):
 
 
 @pytest.fixture(scope="module")
-def correlation(scene, frame):
+def correlation(scene):
     streamer = ContextAwareStreamer()
     fact = next(f for f in scene.facts if f.key == "score")
-    return streamer.correlation_for(scene, fact.question, frame)
+    return streamer.correlation_for(scene, fact.question)
 
 
 class TestProactivePolicies:

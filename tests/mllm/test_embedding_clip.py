@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mllm import ConceptSpace, MobileClip, cosine_similarity
 from repro.mllm.clip import ClipConfig
-from repro.video import make_park_scene, make_sports_scene
+from repro.video import BlockCodec, high_frequency_retention, make_park_scene, make_sports_scene
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +162,44 @@ class TestMobileClip:
     def test_patch_size_validation(self):
         with pytest.raises(ValueError):
             ClipConfig(patch_size=0)
+
+
+class TestRawFrameNeedsNoPixels:
+    """The streamer's maps take no pixels: a raw frame compared with itself is fully visible."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 24), (7, 32), (1, 5)])
+    def test_self_retention_is_exactly_one(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(20):
+            patch = rng.uniform(0, 255, size=shape)
+            assert high_frequency_retention(patch, patch) == 1.0
+
+    @pytest.mark.parametrize(
+        "scene_name,question,time_s",
+        [
+            ("park", "Is the dog erect-eared or floppy-eared?", 0.0),
+            ("park", "Infer what season it might be in the video", 0.5),
+            ("sports", "Could you tell me the present score of the game?", 0.0),
+            ("sports", "What is the player doing?", 1.0),
+        ],
+    )
+    def test_raw_frame_against_itself_equals_no_pixels(self, request, scene_name, question, time_s):
+        scene = request.getfixturevalue(scene_name)
+        clip = MobileClip()
+        frame = scene.render(int(round(time_s * scene.fps)))
+        with_pixels = clip.correlation_map(scene, question, frame, frame, time_s=time_s)
+        without = clip.correlation_map(scene, question, time_s=time_s)
+        np.testing.assert_array_equal(with_pixels.values, without.values)
+        assert with_pixels.query_concepts == without.query_concepts
+
+    def test_decoded_frame_lowers_fine_object_correlation(self, sports):
+        question = "Could you tell me the present score of the game?"
+        scoreboard = sports.object_by_name("scoreboard")
+        assert scoreboard.detail_scale > 0.9
+        clip = MobileClip()
+        frame = sports.render(0)
+        _, decoded = BlockCodec().roundtrip(frame, qp=51)
+        raw_map = clip.correlation_map(sports, question)
+        decoded_map = clip.correlation_map(sports, question, decoded, frame)
+        region = scoreboard.pixel_region(sports.height, sports.width)
+        assert decoded_map.region_mean(region) < raw_map.region_mean(region)
