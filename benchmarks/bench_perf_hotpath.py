@@ -38,7 +38,7 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized run: 2 s sessions, 1 s sweep cells, single repeat",
+        help="CI-sized run: 2 s sessions, 1 s sweep cells (still best-of-3 unless --repeats)",
     )
     parser.add_argument(
         "--out",

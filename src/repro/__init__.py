@@ -9,7 +9,7 @@ Subpackages:
 * :mod:`repro.net` — the RTC transport substrate (event simulation, emulated
   paths, NACK/FEC/ABR/congestion control, jitter buffer) behind Figure 3.
 * :mod:`repro.video` — the video substrate: synthetic scenes with semantic
-  ground truth, a block-DCT codec with per-block QP, rate control, GOP.
+  ground truth, a block-DCT codec with per-block QP, and rate control.
 * :mod:`repro.mllm` — the simulated MLLM side: concept embeddings, the
   MobileCLIP substitute, receiver-side sampling, tokenizers, the
   quality-gated answer model, inference latency, memory, mobile models.

@@ -10,9 +10,7 @@ transmission latencies from the event simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from ..mllm.inference import (
     DEFAULT_AUDIO_ONLY_FLOOR_MS,
@@ -109,25 +107,3 @@ def headline_subtraction() -> dict[str, float]:
         "inference_floor_ms": DEFAULT_AUDIO_ONLY_FLOOR_MS,
         "transmission_budget_ms": remaining,
     }
-
-
-def transmission_latency_table(
-    bitrates_bps: Sequence[float],
-    loss_rates: Sequence[float],
-    bandwidth_bps: float = 10_000_000.0,
-    fps: float = 30.0,
-    one_way_delay_s: float = 0.030,
-) -> dict[tuple[float, float], float]:
-    """Analytic latency (seconds) for every (bitrate, loss) pair — Figure 3's model."""
-    table = {}
-    for bitrate in bitrates_bps:
-        for loss in loss_rates:
-            table[(float(bitrate), float(loss))] = expected_frame_latency(
-                bitrate,
-                fps=fps,
-                bandwidth_bps=bandwidth_bps,
-                loss_rate=loss,
-                rtt_s=2 * one_way_delay_s,
-                propagation_delay_s=one_way_delay_s,
-            )
-    return table

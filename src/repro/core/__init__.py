@@ -6,7 +6,6 @@ Chat pipeline, and the Section 4 extensions (proactive context awareness,
 semantic layered streaming, and context-aware token pruning).
 """
 
-from .config import AiVideoChatConfig
 from .context_aware import (
     ContextAwareStreamer,
     EncodeOutcome,
@@ -39,7 +38,6 @@ from .token_pruning import ContextAwareTokenPruner, PruningConfig, PruningResult
 
 __all__ = [
     "AIVideoChatSession",
-    "AiVideoChatConfig",
     "ChatSessionConfig",
     "ChatTurnResult",
     "ContextAwareStreamer",

@@ -247,15 +247,3 @@ class AIVideoChatSession:
             latency_budget=budget,
             encode_outcomes=outcomes,
         )
-
-    def run_dialogue(
-        self, facts: Sequence[SceneFact], user_words: Optional[Sequence[str]] = None
-    ) -> list[ChatTurnResult]:
-        """Run one turn per fact (a multi-turn dialogue over the same scene)."""
-        if user_words is not None and len(user_words) != len(facts):
-            raise ValueError("user_words must align with facts")
-        results = []
-        for index, fact in enumerate(facts):
-            words = user_words[index] if user_words is not None else None
-            results.append(self.run_turn(fact, user_words=words))
-        return results

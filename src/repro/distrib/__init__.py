@@ -11,13 +11,11 @@ records back (:mod:`repro.distrib.worker`), and a
 into :class:`~repro.analysis.sweeps.SweepRunner` as a drop-in
 :class:`~repro.analysis.sweeps.CellBackend`.
 
-Start workers with::
+Workers always dial in to the coordinator.  Start a sweep with
+``examples/sweep_scenarios.py --serve HOST:PORT`` (or programmatically via
+``SweepRunner(backend=DistributedBackend(listen=...))``) and point workers at it::
 
-    python -m repro.distrib.worker --connect HOST:PORT      # pull from a coordinator
-    python -m repro.distrib.worker --listen PORT            # persistent agent
-
-and sweep through them with ``examples/sweep_scenarios.py --serve`` /
-``--workers`` or programmatically via ``run_sweep(..., backend=DistributedBackend(...))``.
+    python -m repro.distrib.worker --connect HOST:PORT
 """
 
 from .backend import DistributedBackend

@@ -6,23 +6,21 @@ with nothing enforcing the relationships between them — most critically
 that a worker's heartbeat interval stays well below the coordinator's
 liveness timeout (a worker heartbeating *slower* than the coordinator's
 patience is indistinguishable from a dead one and gets its cells requeued
-forever).  :class:`DistribTimeouts` gathers every knob in one validated,
-JSON-able dataclass; :class:`RetryPolicy` does the same for requeue bounds
-and reconnect backoff (jittered exponential, drawn from a seeded
+forever).  :class:`DistribTimeouts` gathers every knob in one validated
+dataclass; :class:`RetryPolicy` does the same for requeue bounds and
+reconnect backoff (jittered exponential, drawn from a seeded
 ``np.random.Generator`` so backoff schedules replay bit-identically —
 the same discipline every other random draw in this repo follows).
 
-Both specs mirror the LossModel/controller spec idiom
-(:func:`repro.net.emulator.loss_model_from_spec`): plain dicts in,
-validated frozen dataclasses out, ``to_jsonable`` back — so a fault plan
-or CLI invocation can carry the full timing configuration as data.
+Both are frozen: callers derive variants with ``override``, which
+re-validates the whole set.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Optional
 
 import numpy as np
 
@@ -48,7 +46,7 @@ class DistribTimeouts:
     heartbeat_interval_s: float = 2.0
     #: Coordinator: silence threshold after which a worker is presumed dead.
     heartbeat_timeout_s: float = 10.0
-    #: Worker: how long the initial connect (or dial-in wait) keeps retrying.
+    #: Worker: how long the initial connect keeps retrying.
     connect_timeout_s: float = 30.0
     #: Worker: socket receive timeout for coordinator responses.
     io_timeout_s: float = 120.0
@@ -85,16 +83,6 @@ class DistribTimeouts:
                 f"wait poll {self.wait_poll_s:g}s must stay below the liveness "
                 f"timeout {self.heartbeat_timeout_s:g}s or idle workers read as dead"
             )
-
-    def to_jsonable(self) -> dict[str, float]:
-        return asdict(self)
-
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, Any]) -> "DistribTimeouts":
-        unknown = set(spec) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown timeout field(s): {sorted(unknown)}")
-        return cls(**{key: float(value) for key, value in spec.items()})
 
     def override(self, **fields: Optional[float]) -> "DistribTimeouts":
         """Copy with the non-``None`` fields replaced (re-validated)."""
@@ -142,19 +130,6 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return base
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, Any]) -> "RetryPolicy":
-        unknown = set(spec) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown retry field(s): {sorted(unknown)}")
-        fields = dict(spec)
-        if "max_requeues" in fields:
-            fields["max_requeues"] = int(fields["max_requeues"])
-        return cls(**fields)
 
     def override(self, **fields: Optional[Any]) -> "RetryPolicy":
         """Copy with the non-``None`` fields replaced (re-validated)."""

@@ -18,11 +18,8 @@ Every timing knob comes from one validated
 one :class:`~repro.distrib.config.RetryPolicy` (see
 :mod:`repro.distrib.config`) instead of scattered module constants.
 
-The coordinator is deliberately agnostic about connection direction: it can
-accept workers on a listening socket (:meth:`bind`, workers run
-``python -m repro.distrib.worker --connect``) and/or dial out to persistent
-worker agents (:meth:`connect_workers`, agents run ``--listen``); both paths
-converge on the same per-connection session.
+Workers always dial in: the coordinator accepts them on a listening socket
+(:meth:`bind`; workers run ``python -m repro.distrib.worker --connect``).
 """
 
 from __future__ import annotations
@@ -86,7 +83,6 @@ class CoordinatorStats:
     workers_connected: int = 0
     workers_rejected: int = 0
     workers_lost: int = 0
-    connect_failures: int = 0
     #: Late results from presumed-dead workers, dropped on arrival — each
     #: one is a cell that still resolved exactly once.
     duplicates_dropped: int = 0
@@ -118,8 +114,7 @@ class _Connection:
 class SweepCoordinator:
     """Serves sweep cells over the dispatcher protocol.
 
-    Lifecycle: construct, :meth:`bind` (and/or keep worker addresses for
-    :meth:`connect_workers`), :meth:`submit` the cells, iterate
+    Lifecycle: construct, :meth:`bind`, :meth:`submit` the cells, iterate
     :meth:`results` until every cell has resolved, then :meth:`close`.
     A coordinator serves exactly one sweep.
     """
@@ -203,25 +198,6 @@ class SweepCoordinator:
         self._spawn(self._accept_loop, name="distrib-accept")
         self._ensure_status_thread()
         return self.address
-
-    def connect_workers(self, addresses: Sequence[tuple[str, int]]) -> None:
-        """Dial out to persistent worker agents (``worker --listen``).
-
-        Each dial runs on its own thread so one unreachable agent does not
-        stall the others; failures only count in ``stats.connect_failures``
-        (the sweep proceeds on whatever workers remain).
-        """
-        for address in addresses:
-            self._spawn(self._dial, address, name=f"distrib-dial-{address[0]}:{address[1]}")
-
-    def _dial(self, address: tuple[str, int]) -> None:
-        try:
-            sock = socket.create_connection(address, timeout=self.timeouts.heartbeat_timeout_s)
-        except OSError:
-            with self._lock:
-                self.stats.connect_failures += 1
-            return
-        self._serve_connection(sock, address)
 
     def _spawn(self, target, *args, name: str) -> None:
         thread = threading.Thread(target=target, args=args, name=name, daemon=True)
@@ -473,7 +449,6 @@ class SweepCoordinator:
         connection = _Connection(channel=channel, name=f"{addr[0]}:{addr[1]}")
         registered = False
         try:
-            sock.settimeout(self.timeouts.heartbeat_timeout_s)
             channel.send(
                 "hello",
                 role="coordinator",

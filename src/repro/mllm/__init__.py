@@ -21,7 +21,6 @@ from .inference import (
     InferenceConfig,
     LatencyBudget,
     default_inference_config,
-    transmission_budget_ms,
 )
 from .memory import LongTermMemory, MemoryEntry
 from .mobile import CollaborationConfig, ModelCollaboration, RoutedAnswer
@@ -100,5 +99,4 @@ __all__ = [
     "drop_and_recover_tokens",
     "perceived_throughput_bps",
     "sender_throughput_bps",
-    "transmission_budget_ms",
 ]

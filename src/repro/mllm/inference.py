@@ -10,8 +10,7 @@ counts into inference time and to compute the remaining transmission budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 #: Response latency above which users perceive the peer as "not a real person".
 DEFAULT_RESPONSE_BUDGET_MS = 300.0
@@ -58,14 +57,6 @@ class InferenceConfig:
         return (
             self.prefill_latency_ms(visual_tokens, input_tokens)
             + self.first_chunk_output_tokens * self.per_output_token_ms
-        )
-
-    def full_response_latency_ms(
-        self, visual_tokens: int, output_tokens: int, input_tokens: int = 32
-    ) -> float:
-        return (
-            self.prefill_latency_ms(visual_tokens, input_tokens)
-            + output_tokens * self.per_output_token_ms
         )
 
 
@@ -132,14 +123,3 @@ class LatencyBudget:
             "target_ms": self.response_target_ms,
             "transmission_budget_ms": self.transmission_budget_ms,
         }
-
-
-def transmission_budget_ms(
-    inference_ms: float = DEFAULT_AUDIO_ONLY_FLOOR_MS,
-    response_target_ms: float = DEFAULT_RESPONSE_BUDGET_MS,
-    other_pipeline_ms: float = 0.0,
-) -> float:
-    """The paper's headline subtraction: 300 ms − 232 ms − other = ≤68 ms."""
-    if response_target_ms <= 0:
-        raise ValueError("response_target_ms must be positive")
-    return response_target_ms - inference_ms - other_pipeline_ms

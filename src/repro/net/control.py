@@ -338,7 +338,7 @@ class ClosedLoopController(SenderController):
 
 
 # ---------------------------------------------------------------------------
-# JSON-able spec factories, mirroring loss_model_from_spec / to_spec in
+# JSON-able spec factories, mirroring loss_model_from_spec in
 # emulator.py: a plain dict with a "kind" discriminator plus constructor
 # parameters, safe to embed in Scenario.overrides and content-hash cache keys.
 # ---------------------------------------------------------------------------

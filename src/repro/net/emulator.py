@@ -271,31 +271,10 @@ def loss_model_from_spec(spec: Optional[dict]) -> LossModel:
     raise ValueError(f"unknown loss model kind: {kind!r}")
 
 
-def loss_model_to_spec(model: LossModel) -> dict:
-    """Inverse of :func:`loss_model_from_spec` for the built-in models."""
-    if isinstance(model, BernoulliLoss):
-        return {"kind": "bernoulli", "loss_rate": model.loss_rate}
-    if isinstance(model, GilbertElliottLoss):
-        return {
-            "kind": "gilbert_elliott",
-            "p_good_to_bad": model.p_good_to_bad,
-            "p_bad_to_good": model.p_bad_to_good,
-            "loss_in_bad": model.loss_in_bad,
-            "loss_in_good": model.loss_in_good,
-        }
-    raise ValueError(f"cannot build a spec for {type(model).__name__}")
-
-
 def bandwidth_trace_from_spec(spec: Optional[dict]) -> Optional["BandwidthTrace"]:
     if spec is None:
         return None
     return BandwidthTrace(times=list(spec["times"]), rates_bps=list(spec["rates_bps"]))
-
-
-def bandwidth_trace_to_spec(trace: Optional["BandwidthTrace"]) -> Optional[dict]:
-    if trace is None:
-        return None
-    return {"times": list(trace.times), "rates_bps": list(trace.rates_bps)}
 
 
 def expected_loss_rate(model: LossModel, samples: int = 20_000, seed: int = 0) -> float:
@@ -544,10 +523,6 @@ class EmulatedPath:
         if self._lazy_dequeue:
             self._drain_queue(self.loop.now)
         return self._queue_bytes
-
-    def queueing_delay(self) -> float:
-        """Current queueing delay a newly arriving packet would observe."""
-        return max(0.0, self._link_free_at - self.loop.now)
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the path.  Returns False when the packet is lost

@@ -11,7 +11,7 @@ completely received — which Figure 3 sweeps against bitrate and loss rate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -338,16 +338,6 @@ class VideoSender:
                     )
         for frame_id, count in retransmitted_by_frame.items():
             self.stats.record_retransmission(frame_id, count)
-
-    def forget_frame(self, frame_id: int) -> None:
-        """Drop retransmission state for a frame (e.g. once it is obsolete)."""
-        forgotten = self._ledger.pop(frame_id, None)
-        if forgotten is not None and self._lookup_memo is forgotten:
-            self._lookup_memo = None
-        packets = self._sent_packets.pop(frame_id, None)
-        if packets:
-            for packet in packets.values():
-                self._packet_by_sequence.pop(packet.sequence, None)
 
 
 class VideoReceiver:

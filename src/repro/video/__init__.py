@@ -1,10 +1,10 @@
-"""Video substrate: frames, synthetic scenes, block codec, rate control, GOP.
+"""Video substrate: frames, synthetic scenes, block codec, rate control.
 
 This subpackage supplies everything the paper's experiments need from a
 video pipeline: a frame/source abstraction, a synthetic scene generator with
 semantic ground truth (standing in for the real video corpus), a block-DCT
 codec with per-block QP control (standing in for Kvazaar/x265), trial-and-
-error rate control, a GOP structure, quality metrics, and transcoding.
+error rate control, quality metrics, and transcoding.
 """
 
 from .codec import (
@@ -14,24 +14,19 @@ from .codec import (
     BlockTransform,
     CodecConfig,
     EncodedFrame,
-    average_bitrate_bps,
-    encode_video,
 )
 from .frames import (
     ArrayVideoSource,
-    SyntheticNoiseSource,
     VideoFrame,
     VideoSource,
     downsample_frame,
 )
-from .gop import GopConfig, GopDecoder, GopEncoder
 from .quality import (
     RegionQualityReport,
     high_frequency_retention,
     mse,
     psnr,
     region_quality,
-    ssim,
 )
 from .rate_control import (
     RateControlResult,
@@ -76,9 +71,6 @@ __all__ = [
     "CATEGORY_TEXT_RICH",
     "CodecConfig",
     "EncodedFrame",
-    "GopConfig",
-    "GopDecoder",
-    "GopEncoder",
     "MAX_QP",
     "MIN_QP",
     "PAPER_CATEGORY_DISTRIBUTION",
@@ -90,18 +82,15 @@ __all__ = [
     "SceneFact",
     "SceneObject",
     "SceneVideoSource",
-    "SyntheticNoiseSource",
     "TranscodeResult",
     "VideoFrame",
     "VideoSource",
     "achieved_bitrate_bps",
-    "average_bitrate_bps",
     "build_scene_corpus",
     "concatenate_side_by_side",
     "downsample_frame",
     "encode_at_target_bitrate",
     "encode_sequence_at_target_bitrate",
-    "encode_video",
     "high_frequency_retention",
     "make_kitchen_scene",
     "make_lecture_scene",
@@ -111,6 +100,5 @@ __all__ = [
     "mse",
     "psnr",
     "region_quality",
-    "ssim",
     "transcode_to_bitrate",
 ]

@@ -17,7 +17,7 @@ those experiments depend on with a block-DCT codec:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -64,8 +64,6 @@ class EncodedFrame:
     quantised: np.ndarray  # (blocks_y, blocks_x, block, block)
     bits_per_block: np.ndarray
     total_bits: float
-    is_keyframe: bool = True
-    metadata: dict = field(default_factory=dict)
 
     @property
     def size_bytes(self) -> int:
@@ -169,7 +167,6 @@ class BlockCodec:
         qp: Union[int, float, np.ndarray] = 30,
         frame_id: int = 0,
         timestamp: float = 0.0,
-        is_keyframe: bool = True,
     ) -> EncodedFrame:
         """Encode a luma array with a scalar QP or a per-block QP map.
 
@@ -201,7 +198,6 @@ class BlockCodec:
             quantised=quantised,
             bits_per_block=bits_per_block,
             total_bits=total_bits,
-            is_keyframe=is_keyframe,
         )
 
     def decode(self, encoded: EncodedFrame) -> np.ndarray:
@@ -211,10 +207,7 @@ class BlockCodec:
         blocks = idctn(coefficients, axes=(2, 3), norm="ortho")
         padded = _from_blocks(blocks)
         height, width = encoded.shape
-        reconstructed = padded[:height, :width]
-        if encoded.is_keyframe:
-            reconstructed = np.clip(reconstructed, 0, 255)
-        return reconstructed
+        return np.clip(padded[:height, :width], 0, 255)
 
     def roundtrip(
         self, pixels: np.ndarray, qp: Union[int, float, np.ndarray] = 30
@@ -240,25 +233,3 @@ class BlockCodec:
         bits = 2 * exponent.sum(axis=(2, 3), dtype=np.int64) + np.count_nonzero(magnitude, axis=(2, 3))
         return bits.astype(np.float64) + self.config.header_bits_per_block
 
-
-def encode_video(
-    frames: list[np.ndarray],
-    qp: Union[int, float, np.ndarray] = 30,
-    config: Optional[CodecConfig] = None,
-    fps: float = 30.0,
-) -> list[EncodedFrame]:
-    """Intra-encode a list of frames at a fixed QP (all keyframes)."""
-    codec = BlockCodec(config)
-    return [
-        codec.encode(frame, qp, frame_id=index, timestamp=index / fps)
-        for index, frame in enumerate(frames)
-    ]
-
-
-def average_bitrate_bps(encoded: list[EncodedFrame], fps: float) -> float:
-    """Average bitrate of an encoded sequence at a given frame rate."""
-    if not encoded:
-        return 0.0
-    total_bits = sum(frame.total_bits for frame in encoded)
-    duration = len(encoded) / fps
-    return total_bits / duration

@@ -23,7 +23,6 @@ from repro.analysis import (
     run_section21_jitter_invariance,
     run_section21_throughput_asymmetry,
     run_token_streaming_feasibility,
-    transmission_latency_table,
 )
 from repro.analysis.latency import BudgetScenario, budget_for_scenario
 from repro.net.control import preset_controller_spec
@@ -117,12 +116,6 @@ class TestLatencyHelpers:
             BudgetScenario(name="overload", bitrate_bps=14_000_000, loss_rate=0.05)
         )
         assert overload.total_ms > calm.total_ms
-
-    def test_transmission_latency_table_monotone(self):
-        table = transmission_latency_table(
-            bitrates_bps=(200_000, 4_000_000, 12_000_000), loss_rates=(0.05,)
-        )
-        assert table[(200_000.0, 0.05)] < table[(4_000_000.0, 0.05)] < table[(12_000_000.0, 0.05)]
 
     def test_format_mapping_nested(self):
         text = format_mapping("title", {"a": 1.0, "nested": {"b": 2.0}})

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AIVideoChatSession,
-    AiVideoChatConfig,
     ChatSessionConfig,
     ContextAwareStreamer,
     PatchGrid,
@@ -55,11 +54,6 @@ class TestPatchGrid:
         patch = grid.patch(1, 2)
         np.testing.assert_array_equal(grid.extract(pixels, patch), pixels[16:32, 32:48])
 
-    def test_patches_overlapping_region(self):
-        grid = PatchGrid(128, 128, patch_size=32)
-        overlapping = grid.patches_overlapping((30, 70, 30, 70))
-        assert len(overlapping) == 9
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PatchGrid(0, 10, 16)
@@ -68,16 +62,6 @@ class TestPatchGrid:
         grid = PatchGrid(64, 64, 16)
         with pytest.raises(IndexError):
             grid.patch(10, 0)
-        with pytest.raises(ValueError):
-            grid.patches_overlapping((10, 10, 0, 5))
-
-    def test_value_map_to_pixels(self):
-        grid = PatchGrid(64, 64, patch_size=32)
-        values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        pixel_map = grid.value_map_to_pixels(values)
-        assert pixel_map.shape == (64, 64)
-        assert pixel_map[0, 0] == 1.0 and pixel_map[63, 63] == 4.0
-
 
 class TestQpMapping:
     def test_equation2_reference_values(self):
@@ -217,32 +201,3 @@ class TestPipeline:
         ours = AIVideoChatSession(scene, session_config=config).run_turn(score_fact)
         base = AIVideoChatSession(scene, session_config=baseline_config).run_turn(score_fact)
         assert ours.answer.evidence_quality > base.answer.evidence_quality
-
-    def test_dialogue_runs_one_turn_per_fact(self, scene):
-        session = self._session(scene)
-        results = session.run_dialogue(scene.facts[:2])
-        assert len(results) == 2
-        with pytest.raises(ValueError):
-            session.run_dialogue(scene.facts[:2], user_words=["only one"])
-
-
-class TestConfig:
-    def test_uplink_path_matches_paper_defaults(self):
-        config = AiVideoChatConfig()
-        path = config.uplink_path()
-        assert path.bandwidth_bps == pytest.approx(10_000_000.0)
-        assert path.propagation_delay_s == pytest.approx(0.030)
-
-    def test_with_loss_and_bitrate_copies(self):
-        config = AiVideoChatConfig()
-        lossy = config.with_loss(0.05)
-        assert lossy.packet_loss_rate == 0.05
-        rebit = config.with_bitrate(200_000.0)
-        assert rebit.session.target_bitrate_bps == 200_000.0
-        assert config.session.target_bitrate_bps != 200_000.0 or True
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AiVideoChatConfig(uplink_bandwidth_bps=0)
-        with pytest.raises(ValueError):
-            AiVideoChatConfig(packet_loss_rate=1.5)

@@ -44,14 +44,6 @@ class TestDistribTimeouts:
         with pytest.raises(ConfigError, match="linger_s"):
             DistribTimeouts(linger_s=-0.1)
 
-    def test_spec_round_trip(self):
-        timeouts = DistribTimeouts(heartbeat_interval_s=0.5, heartbeat_timeout_s=2.0)
-        assert DistribTimeouts.from_spec(timeouts.to_jsonable()) == timeouts
-
-    def test_unknown_spec_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown timeout field"):
-            DistribTimeouts.from_spec({"hartbeat_timeout_s": 5.0})
-
     def test_override_revalidates(self):
         quick = DEFAULT_TIMEOUTS.override(
             heartbeat_interval_s=0.1, heartbeat_timeout_s=0.5
@@ -91,14 +83,6 @@ class TestRetryPolicy:
         base = policy.backoff_base_s
         low, high = base * (1 - policy.jitter), base * (1 + policy.jitter)
         assert low <= first[0] <= high
-
-    def test_spec_round_trip(self):
-        policy = RetryPolicy(max_requeues=7, jitter=0.25)
-        assert RetryPolicy.from_spec(policy.to_jsonable()) == policy
-
-    def test_unknown_spec_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown retry field"):
-            RetryPolicy.from_spec({"retries": 3})
 
 
 class TestBackoffSeed:

@@ -183,10 +183,14 @@ class TestEmulatedPath:
 
     def test_queueing_delay_reflects_backlog(self):
         loop = EventLoop()
-        path = _make_path(loop, [], bandwidth_bps=1_000_000, queue_capacity_bytes=10**9)
+        deliveries = []
+        path = _make_path(loop, deliveries, bandwidth_bps=1_000_000, queue_capacity_bytes=10**9)
         for p in Packetizer().packetize(0, 10 * 1400, 0.0):
             path.send(p)
-        assert path.queueing_delay() == pytest.approx(10 * 1400 * 8 / 1_000_000)
+        loop.run_until_idle()
+        # The last packet waits behind the whole backlog before its own flight.
+        backlog_s = 10 * 1400 * 8 / 1_000_000
+        assert deliveries[-1][1] == pytest.approx(backlog_s + path.config.propagation_delay_s)
 
     def test_jitter_adds_variable_delay(self):
         loop = EventLoop()

@@ -1,18 +1,24 @@
 """Property tests for the loss models, bandwidth traces, and their specs."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sweeps import (
+    Scenario,
+    bernoulli_scenario,
+    gilbert_elliott_scenario,
+    trace_scenario,
+)
 from repro.net.emulator import (
     BandwidthTrace,
     BernoulliLoss,
     GilbertElliottLoss,
     bandwidth_trace_from_spec,
-    bandwidth_trace_to_spec,
     expected_loss_rate,
     loss_model_from_spec,
-    loss_model_to_spec,
 )
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -127,20 +133,23 @@ class TestBandwidthTraceProperties:
         assert BandwidthTrace(times=[3.0], rates_bps=[5e6]).mean_rate_bps == 5e6
 
 
+def _through_json(scenario: Scenario) -> dict:
+    """The runner kwargs a scenario rebuilds after the JSON trip a sweep cell takes."""
+    return Scenario.from_jsonable(json.loads(json.dumps(scenario.to_jsonable()))).runner_kwargs(0)
+
+
 class TestSpecs:
     def test_bernoulli_roundtrip(self):
-        model = BernoulliLoss(0.07)
-        rebuilt = loss_model_from_spec(loss_model_to_spec(model))
+        rebuilt = _through_json(bernoulli_scenario(0.07))["loss_model"]
         assert isinstance(rebuilt, BernoulliLoss)
         assert rebuilt.loss_rate == pytest.approx(0.07)
 
     def test_gilbert_elliott_roundtrip(self):
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.04, p_bad_to_good=0.5, loss_in_bad=0.6, loss_in_good=0.01
-        )
-        rebuilt = loss_model_from_spec(loss_model_to_spec(model))
+        params = dict(p_good_to_bad=0.04, p_bad_to_good=0.5, loss_in_bad=0.6, loss_in_good=0.01)
+        rebuilt = _through_json(gilbert_elliott_scenario(**params))["loss_model"]
         assert isinstance(rebuilt, GilbertElliottLoss)
-        assert rebuilt.steady_state_loss == pytest.approx(model.steady_state_loss)
+        expected = GilbertElliottLoss(**params).steady_state_loss
+        assert rebuilt.steady_state_loss == pytest.approx(expected)
 
     def test_none_spec_is_lossless(self):
         model = loss_model_from_spec(None)
@@ -152,12 +161,10 @@ class TestSpecs:
             loss_model_from_spec({"kind": "quantum"})
 
     def test_trace_roundtrip(self):
-        trace = BandwidthTrace(times=[0.0, 2.0], rates_bps=[1e6, 5e6])
-        rebuilt = bandwidth_trace_from_spec(bandwidth_trace_to_spec(trace))
+        rebuilt = _through_json(trace_scenario([0.0, 2.0], [1e6, 5e6]))["bandwidth_trace"]
         assert rebuilt.rate_at(1.0) == 1e6
         assert rebuilt.rate_at(3.0) == 5e6
         assert bandwidth_trace_from_spec(None) is None
-        assert bandwidth_trace_to_spec(None) is None
 
 
 class TestExpectedLossRate:

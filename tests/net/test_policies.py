@@ -1,4 +1,4 @@
-"""Tests for congestion control, ABR policies, FEC math, jitter buffer and stats."""
+"""Tests for congestion control, ABR policies, FEC, jitter buffer and stats."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,11 @@ from repro.net.abr import (
 )
 from repro.net.congestion import (
     AimdController,
-    FeedbackAggregator,
     GccConfig,
     GoogleCongestionControl,
     RateSample,
 )
-from repro.net.fec import FecConfig, FecDecoder, FecEncoder, fec_recovery_probability
+from repro.net.fec import FecConfig, FecDecoder, FecEncoder
 from repro.net.packet import FrameAssembler, Packetizer
 from repro.net.jitter_buffer import (
     JitterBuffer,
@@ -77,33 +76,6 @@ class TestAimd:
         before = aimd.estimate_bps
         aimd.update(_sample(0.2, 1_000_000, loss=0.1))
         assert aimd.estimate_bps == pytest.approx(before * aimd.config.multiplicative_decrease)
-
-
-class TestFeedbackAggregator:
-    def test_no_report_before_interval(self):
-        agg = FeedbackAggregator(interval_s=0.2)
-        agg.on_packet(0.05, 0.02, 1400)
-        assert agg.maybe_report(0.1) is None
-
-    def test_report_contains_rate_and_loss(self):
-        agg = FeedbackAggregator(interval_s=0.2)
-        for i in range(10):
-            agg.on_expected()
-            if i != 3:
-                agg.on_packet(0.02 * i, 0.02 * i - 0.01, 1400)
-        sample = agg.maybe_report(0.25)
-        assert sample is not None
-        assert sample.loss_ratio == pytest.approx(0.1)
-        assert sample.receive_rate_bps == pytest.approx(9 * 1400 * 8 / 0.25)
-
-    def test_window_resets_after_report(self):
-        agg = FeedbackAggregator(interval_s=0.1)
-        agg.on_expected()
-        agg.on_packet(0.05, 0.02, 1400)
-        assert agg.maybe_report(0.15) is not None
-        later = agg.maybe_report(0.35)
-        assert later is not None
-        assert later.receive_rate_bps == 0.0
 
 
 class TestAbrPolicies:
@@ -196,41 +168,10 @@ class TestExpectedFrameLatency:
 
 
 class TestFec:
-    def test_recovery_probability_bounds(self):
-        p = fec_recovery_probability(packet_count=10, loss_rate=0.05, group_size=5)
-        assert 0.0 < p <= 1.0
-
-    def test_recovery_improves_over_no_fec(self):
-        no_fec = (1 - 0.05) ** 10
-        with_fec = fec_recovery_probability(10, 0.05, group_size=5)
-        assert with_fec > no_fec
-
-    def test_zero_loss_gives_certainty(self):
-        assert fec_recovery_probability(20, 0.0, 5) == pytest.approx(1.0)
-
-    def test_invalid_loss_rejected(self):
-        with pytest.raises(ValueError):
-            fec_recovery_probability(10, 1.0, 5)
-
     def test_group_size_validation(self):
         with pytest.raises(ValueError):
             FecConfig(group_size=0)
         assert FecConfig(group_size=4).overhead_ratio == pytest.approx(0.25)
-
-    @given(
-        st.integers(min_value=1, max_value=60),
-        st.floats(min_value=0.0, max_value=0.4),
-        st.integers(min_value=1, max_value=10),
-    )
-    def test_property_probability_valid(self, packets, loss, group):
-        p = fec_recovery_probability(packets, loss, group)
-        assert 0.0 <= p <= 1.0
-
-    def test_tiny_loss_rate_does_not_overflow_one(self):
-        """Float rounding on tiny loss rates must not push the product above 1."""
-        p = fec_recovery_probability(packet_count=60, loss_rate=1e-12, group_size=1)
-        assert p <= 1.0
-
 
 class TestFecDecoderPendingParity:
     """The decoder must retry parity that arrived before it could repair."""

@@ -6,6 +6,8 @@ feeding the MLLM, ABR driven by the accuracy predictor, DeViBench samples
 evaluated through the full pipeline, and the public package surface.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -42,14 +44,14 @@ class TestPackageSurface:
             assert hasattr(repro, name)
 
     def test_public_exports_resolve(self):
-        from repro.core import __all__ as core_all
-        from repro.net import __all__ as net_all
-
-        import repro.core as core
-        import repro.net as net
-
-        assert all(hasattr(core, name) for name in core_all)
-        assert all(hasattr(net, name) for name in net_all)
+        """Every name in every package's ``__all__`` resolves, distrib's lazy
+        ``__getattr__`` names included, so a deleted name cannot linger there."""
+        for package in (
+            "core", "net", "video", "mllm", "devibench", "analysis", "distrib", "obs", "lint"
+        ):
+            module = importlib.import_module(f"repro.{package}")
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert not missing, f"repro.{package}.__all__ names missing: {missing}"
 
 
 class TestEncoderToTransport:

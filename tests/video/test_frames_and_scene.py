@@ -10,7 +10,6 @@ from repro.video import (
     Scene,
     SceneFact,
     SceneObject,
-    SyntheticNoiseSource,
     VideoFrame,
     build_scene_corpus,
     downsample_frame,
@@ -58,22 +57,6 @@ class TestArrayVideoSource:
         source = ArrayVideoSource([np.zeros((4, 4))])
         with pytest.raises(IndexError):
             source.frame_at(1)
-
-    def test_raw_bitrate(self):
-        source = ArrayVideoSource([np.zeros((100, 100))], fps=30)
-        assert source.raw_bitrate_bps(bits_per_pixel=8) == pytest.approx(100 * 100 * 8 * 30)
-
-
-class TestSyntheticNoiseSource:
-    def test_frames_are_deterministic(self):
-        a = SyntheticNoiseSource(height=40, width=60, seed=3).frame_at(5)
-        b = SyntheticNoiseSource(height=40, width=60, seed=3).frame_at(5)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
-
-    def test_pixel_range(self):
-        frame = SyntheticNoiseSource(height=40, width=60).frame_at(0)
-        assert frame.pixels.min() >= 0
-        assert frame.pixels.max() <= 255
 
 
 class TestDownsampling:
