@@ -35,15 +35,19 @@ def main() -> None:
     print(f"saved {len(report.benchmark)} QA samples to {output}\n")
 
     evaluator = BenchmarkEvaluator(report.benchmark)
+    # One pass over the benchmark evaluates every (bitrate, method) point.
+    points = [
+        (bitrate, context_aware)
+        for context_aware in (False, True)
+        for bitrate in (850_000.0, 430_000.0, 200_000.0)
+    ]
     print(f"{'method':>15} {'target kbps':>12} {'achieved kbps':>14} {'accuracy':>9}")
-    for context_aware in (False, True):
-        for bitrate in (850_000.0, 430_000.0, 200_000.0):
-            result = evaluator.evaluate(bitrate, context_aware=context_aware)
-            method = "context-aware" if context_aware else "baseline"
-            print(
-                f"{method:>15} {bitrate / 1000:>12.0f} "
-                f"{result.mean_achieved_bitrate_bps / 1000:>14.0f} {result.accuracy:>9.2f}"
-            )
+    for result in evaluator.evaluate_points(points):
+        method = "context-aware" if result.context_aware else "baseline"
+        print(
+            f"{method:>15} {result.target_bitrate_bps / 1000:>12.0f} "
+            f"{result.mean_achieved_bitrate_bps / 1000:>14.0f} {result.accuracy:>9.2f}"
+        )
 
 
 if __name__ == "__main__":

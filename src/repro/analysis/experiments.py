@@ -350,20 +350,23 @@ def run_figure9_accuracy(
     rate_cap = float("inf")
     if bandwidth_trace is not None:
         rate_cap = bandwidth_trace.mean_rate_bps
-    points: list[Figure9Point] = []
-    for context_aware in (False, True):
-        for bitrate in bitrates_bps:
-            effective = max(1_000.0, min(float(bitrate), rate_cap) * delivery_ratio)
-            result = evaluator.evaluate(effective, context_aware=context_aware, max_samples=max_samples)
-            points.append(
-                Figure9Point(
-                    method="context-aware" if context_aware else "baseline",
-                    target_bitrate_bps=float(bitrate),
-                    achieved_bitrate_bps=result.mean_achieved_bitrate_bps,
-                    accuracy=result.accuracy,
-                )
-            )
-    return points
+    grid = [(context_aware, float(bitrate)) for context_aware in (False, True) for bitrate in bitrates_bps]
+    results = evaluator.evaluate_points(
+        [
+            (max(1_000.0, min(bitrate, rate_cap) * delivery_ratio), context_aware)
+            for context_aware, bitrate in grid
+        ],
+        max_samples=max_samples,
+    )
+    return [
+        Figure9Point(
+            method="context-aware" if context_aware else "baseline",
+            target_bitrate_bps=bitrate,
+            achieved_bitrate_bps=result.mean_achieved_bitrate_bps,
+            accuracy=result.accuracy,
+        )
+        for (context_aware, bitrate), result in zip(grid, results)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ semantic layered streaming, and context-aware token pruning).
 from .context_aware import (
     ContextAwareStreamer,
     EncodeOutcome,
+    FrameContext,
     StreamingConfig,
     UniformStreamer,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "ContextAwareStreamer",
     "ContextAwareTokenPruner",
     "EncodeOutcome",
+    "FrameContext",
     "HistoryProactivePolicy",
     "HybridProactivePolicy",
     "LayerConfig",

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..mllm.clip import ClipConfig, CorrelationMap, MobileClip
-from ..video.codec import BlockCodec, EncodedFrame
+from ..video.codec import BlockCodec, BlockTransform, EncodedFrame
 from ..video.frames import VideoFrame
 from ..video.rate_control import RateControlResult, encode_at_target_bitrate
 from ..video.scene import Scene, SceneFact
@@ -47,6 +47,29 @@ class StreamingConfig:
 
     def qp_config(self) -> QpMapConfig:
         return QpMapConfig(gamma=self.gamma, qp_ceiling=self.qp_ceiling)
+
+
+@dataclass(frozen=True)
+class FrameContext:
+    """Equations (1) and (2) for one frame: its correlation map and QP map.
+
+    Neither depends on the bitrate, so a caller encoding one frame for the
+    same words at several bitrates computes the context once.
+    """
+
+    correlation: CorrelationMap
+    qp_map: np.ndarray
+
+
+def _frame_parts(
+    frame: Union[VideoFrame, np.ndarray, BlockTransform], frame_id: int, timestamp: float
+) -> tuple[Union[np.ndarray, BlockTransform], int, float]:
+    """The codec input, frame id and timestamp of whatever a streamer was handed."""
+    if isinstance(frame, VideoFrame):
+        return frame.pixels, frame.frame_id, frame.timestamp
+    if isinstance(frame, BlockTransform):
+        return frame, frame_id, timestamp
+    return np.asarray(frame, dtype=float), frame_id, timestamp
 
 
 @dataclass
@@ -116,39 +139,55 @@ class ContextAwareStreamer:
             correlation_to_qp(block_grid, self.config.qp_config()), dtype=float
         )
 
+    def frame_context(
+        self,
+        scene: Scene,
+        user_words: str,
+        frame_shape: tuple[int, int],
+        *,
+        extra_concepts: Sequence[str] = (),
+        time_s: float = 0.0,
+    ) -> FrameContext:
+        """Correlation map and QP map of the frame at ``time_s`` for the user words."""
+        correlation = self.correlation_for(
+            scene, user_words, extra_concepts=extra_concepts, time_s=time_s
+        )
+        return FrameContext(correlation, self.qp_map_for(correlation, frame_shape))
+
     # -- encoding -------------------------------------------------------------
 
     def encode_frame(
         self,
         scene: Scene,
-        frame: Union[VideoFrame, np.ndarray],
+        frame: Union[VideoFrame, np.ndarray, BlockTransform],
         user_words: str,
         target_bitrate_bps: Optional[float] = None,
         fps: float = 2.0,
         extra_concepts: Sequence[str] = (),
         frame_id: int = 0,
         timestamp: float = 0.0,
+        context: Optional[FrameContext] = None,
     ) -> EncodeOutcome:
         """Encode one frame with context-aware bit allocation.
 
         Without a target bitrate the QP map from Equation (2) is used as-is;
         with a target bitrate the same trial-and-error offset search as the
         baseline is applied on top of the map so matched-bitrate comparisons
-        (Figure 9/10) are apples-to-apples.
+        (Figure 9/10) are apples-to-apples.  ``frame`` may be the frame's
+        :meth:`BlockCodec.transform` (then ``frame_id`` and ``timestamp`` name
+        it), and ``context`` its :meth:`frame_context` for these words, so a
+        caller encoding one frame at several bitrates does each once.
         """
-        pixels = frame.pixels if isinstance(frame, VideoFrame) else np.asarray(frame, dtype=float)
-        timestamp = frame.timestamp if isinstance(frame, VideoFrame) else timestamp
-        frame_id = frame.frame_id if isinstance(frame, VideoFrame) else frame_id
-
-        correlation = self.correlation_for(
-            scene, user_words, extra_concepts=extra_concepts, time_s=timestamp
-        )
-        qp_map = self.qp_map_for(correlation, pixels.shape)
+        pixels, frame_id, timestamp = _frame_parts(frame, frame_id, timestamp)
+        if context is None:
+            context = self.frame_context(
+                scene, user_words, pixels.shape, extra_concepts=extra_concepts, time_s=timestamp
+            )
 
         rate_result: Optional[RateControlResult] = None
         if target_bitrate_bps is None:
             encoded = self.codec.encode(
-                pixels, qp_map, frame_id=frame_id, timestamp=timestamp
+                pixels, context.qp_map, frame_id=frame_id, timestamp=timestamp
             )
         else:
             rate_result = encode_at_target_bitrate(
@@ -156,7 +195,7 @@ class ContextAwareStreamer:
                 pixels,
                 target_bitrate_bps,
                 fps=fps,
-                base_qp_map=qp_map,
+                base_qp_map=context.qp_map,
                 tolerance=self.config.rate_tolerance,
                 max_iterations=self.config.rate_iterations,
                 frame_id=frame_id,
@@ -168,9 +207,9 @@ class ContextAwareStreamer:
             encoded=encoded,
             decoded=decoded,
             qp_map=encoded.qp_map,
-            correlation=correlation,
+            correlation=context.correlation,
             rate_control=rate_result,
-            client_compute_ms=correlation.compute_latency_ms,
+            client_compute_ms=context.correlation.compute_latency_ms,
         )
 
     # -- helpers for ABR integration ------------------------------------------
@@ -223,17 +262,19 @@ class UniformStreamer:
 
     def encode_frame(
         self,
-        frame: Union[VideoFrame, np.ndarray],
+        frame: Union[VideoFrame, np.ndarray, BlockTransform],
         target_bitrate_bps: Optional[float] = None,
         fps: float = 2.0,
         qp: Optional[float] = None,
         frame_id: int = 0,
         timestamp: float = 0.0,
     ) -> EncodeOutcome:
-        """Encode one frame with a uniform QP (optionally rate-controlled)."""
-        pixels = frame.pixels if isinstance(frame, VideoFrame) else np.asarray(frame, dtype=float)
-        timestamp = frame.timestamp if isinstance(frame, VideoFrame) else timestamp
-        frame_id = frame.frame_id if isinstance(frame, VideoFrame) else frame_id
+        """Encode one frame with a uniform QP (optionally rate-controlled).
+
+        ``frame`` may be the frame's :meth:`BlockCodec.transform`, as for
+        :meth:`ContextAwareStreamer.encode_frame`.
+        """
+        pixels, frame_id, timestamp = _frame_parts(frame, frame_id, timestamp)
         base_qp = self.config.baseline_qp if qp is None else float(qp)
 
         rate_result: Optional[RateControlResult] = None

@@ -12,11 +12,11 @@ the benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.context_aware import ContextAwareStreamer, StreamingConfig, UniformStreamer
+from ..core.context_aware import ContextAwareStreamer, EncodeOutcome, StreamingConfig, UniformStreamer
 from ..mllm.model import MODE_FREE_RESPONSE, MODE_MULTIPLE_CHOICE, SimulatedMLLM
 from ..video.frames import VideoFrame
 from ..video.scene import Scene
@@ -78,56 +78,33 @@ class BenchmarkEvaluator:
         #: DeViBench preprocessing (see VideoCollection.rate_fps).
         self.rate_fps = float(rate_fps) if rate_fps is not None else float(sampling_fps)
         self.mode = mode
-        self._frame_cache: dict[str, list[VideoFrame]] = {}
 
     # -- frames ---------------------------------------------------------------
 
     def _original_frames(self, scene: Scene) -> list[VideoFrame]:
-        if scene.name not in self._frame_cache:
-            source = scene.to_source()
-            stride = max(1, int(round(scene.fps / self.sampling_fps)))
-            indices = list(range(0, source.frame_count(), stride))[: self.frames_per_video]
-            self._frame_cache[scene.name] = [source.frame_at(index) for index in indices]
-        return self._frame_cache[scene.name]
+        source = scene.to_source()
+        stride = max(1, int(round(scene.fps / self.sampling_fps)))
+        indices = list(range(0, source.frame_count(), stride))[: self.frames_per_video]
+        return [source.frame_at(index) for index in indices]
 
     # -- evaluation -----------------------------------------------------------
 
     def evaluate_sample(
         self,
         sample: QASample,
-        target_bitrate_bps: float,
-        context_aware: bool,
+        originals: Sequence[VideoFrame],
+        outcomes: Sequence[EncodeOutcome],
     ) -> SampleEvaluation:
-        scene = self.benchmark.scene_for(sample)
-        originals = self._original_frames(scene)
-        fact = sample.to_fact()
-
-        decoded_frames: list[VideoFrame] = []
-        total_bits = 0.0
-        for frame in originals:
-            if context_aware:
-                outcome = self.streamer.encode_frame(
-                    scene,
-                    frame,
-                    sample.question,
-                    target_bitrate_bps=target_bitrate_bps,
-                    fps=self.rate_fps,
-                )
-            else:
-                outcome = self.baseline.encode_frame(
-                    frame,
-                    target_bitrate_bps=target_bitrate_bps,
-                    fps=self.rate_fps,
-                )
-            total_bits += outcome.encoded.total_bits
-            decoded_frames.append(
-                VideoFrame(frame_id=frame.frame_id, timestamp=frame.timestamp, pixels=outcome.decoded)
-            )
-
+        """Score one sample on its frames' finished encodes at one operating point."""
+        decoded_frames = [
+            VideoFrame(frame_id=frame.frame_id, timestamp=frame.timestamp, pixels=outcome.decoded)
+            for frame, outcome in zip(originals, outcomes)
+        ]
+        total_bits = sum(outcome.encoded.total_bits for outcome in outcomes)
         achieved = total_bits / max(len(originals), 1) * self.rate_fps
         answer = self.mllm.answer_question(
-            fact,
-            scene,
+            sample.to_fact(),
+            self.benchmark.scene_for(sample),
             decoded_frames,
             originals,
             mode=self.mode,
@@ -142,6 +119,107 @@ class BenchmarkEvaluator:
             answer=answer.answer,
         )
 
+    def _score_scene(
+        self, scene: Scene, samples: Sequence[QASample], points: Sequence[tuple[float, bool]]
+    ) -> list[list[SampleEvaluation]]:
+        """Each of one scene's samples scored at every point, in sample then point order.
+
+        The scene's frames, transforms and encodes live only for this call.
+        """
+        originals = self._original_frames(scene)
+        aware_input = [self.streamer.codec.transform(frame.pixels) for frame in originals]
+        uniform_input = aware_input
+        if self.baseline.codec.config.block_size != self.streamer.codec.config.block_size:
+            uniform_input = [self.baseline.codec.transform(frame.pixels) for frame in originals]
+        aware_bitrates = list(dict.fromkeys(bitrate for bitrate, aware in points if aware))
+        # The baseline's encode depends only on (frame, bitrate): once per scene.
+        uniform = {
+            bitrate: [
+                self.baseline.encode_frame(
+                    transform,
+                    target_bitrate_bps=bitrate,
+                    fps=self.rate_fps,
+                    frame_id=frame.frame_id,
+                    timestamp=frame.timestamp,
+                )
+                for frame, transform in zip(originals, uniform_input)
+            ]
+            for bitrate in dict.fromkeys(bitrate for bitrate, aware in points if not aware)
+        }
+        rows = []
+        for sample in samples:
+            # A question's map of a frame does not depend on the bitrate.
+            contexts = [
+                self.streamer.frame_context(
+                    scene, sample.question, frame.pixels.shape, time_s=frame.timestamp
+                )
+                for frame in originals
+            ] if aware_bitrates else []
+            aware = {
+                bitrate: [
+                    self.streamer.encode_frame(
+                        scene,
+                        transform,
+                        sample.question,
+                        target_bitrate_bps=bitrate,
+                        fps=self.rate_fps,
+                        frame_id=frame.frame_id,
+                        timestamp=frame.timestamp,
+                        context=context,
+                    )
+                    for frame, transform, context in zip(originals, aware_input, contexts)
+                ]
+                for bitrate in aware_bitrates
+            }
+            rows.append(
+                [
+                    self.evaluate_sample(
+                        sample, originals, aware[bitrate] if context_aware else uniform[bitrate]
+                    )
+                    for bitrate, context_aware in points
+                ]
+            )
+        return rows
+
+    def evaluate_points(
+        self,
+        points: Sequence[tuple[float, bool]],
+        max_samples: Optional[int] = None,
+    ) -> list[EvaluationResult]:
+        """Accuracy of the whole benchmark at each ``(target bitrate, context-aware)`` point.
+
+        One pass, one scene at a time (see :meth:`_score_scene`).  Every
+        encode is deterministic and every answer is seeded by its question,
+        not by call order, so each result equals evaluating its point alone.
+        """
+        samples = self.benchmark.samples
+        if max_samples is not None:
+            samples = samples[:max_samples]
+        by_scene: dict[str, list[int]] = {}
+        for index, sample in enumerate(samples):
+            by_scene.setdefault(sample.scene_name, []).append(index)
+        scored: list[list[SampleEvaluation]] = [[] for _ in samples]
+        for indices in by_scene.values():
+            scene_samples = [samples[index] for index in indices]
+            rows = self._score_scene(self.benchmark.scene_for(scene_samples[0]), scene_samples, points)
+            for index, row in zip(indices, rows):
+                scored[index] = row
+
+        results = []
+        for point, (bitrate, context_aware) in enumerate(points):
+            evaluations = [row[point] for row in scored]
+            results.append(
+                EvaluationResult(
+                    label=("context-aware" if context_aware else "baseline") + f"@{bitrate / 1000:.0f}kbps",
+                    target_bitrate_bps=bitrate,
+                    context_aware=context_aware,
+                    accuracy=float(np.mean([e.correct for e in evaluations])),
+                    mean_achieved_bitrate_bps=float(np.mean([e.achieved_bitrate_bps for e in evaluations])),
+                    evaluations=evaluations,
+                )
+            )
+        return results
+
     def evaluate(
         self,
         target_bitrate_bps: float,
@@ -150,21 +228,10 @@ class BenchmarkEvaluator:
         max_samples: Optional[int] = None,
     ) -> EvaluationResult:
         """Accuracy of the whole benchmark at one bitrate / method."""
-        samples = self.benchmark.samples
-        if max_samples is not None:
-            samples = samples[:max_samples]
-        evaluations = [
-            self.evaluate_sample(sample, target_bitrate_bps, context_aware) for sample in samples
-        ]
-        return EvaluationResult(
-            label=label
-            or ("context-aware" if context_aware else "baseline") + f"@{target_bitrate_bps / 1000:.0f}kbps",
-            target_bitrate_bps=target_bitrate_bps,
-            context_aware=context_aware,
-            accuracy=float(np.mean([e.correct for e in evaluations])),
-            mean_achieved_bitrate_bps=float(np.mean([e.achieved_bitrate_bps for e in evaluations])),
-            evaluations=evaluations,
-        )
+        (result,) = self.evaluate_points([(target_bitrate_bps, context_aware)], max_samples)
+        if label:
+            result.label = label
+        return result
 
 
 def coarse_qa_breakage_rate(

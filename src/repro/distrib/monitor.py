@@ -13,6 +13,13 @@ TTY dashboard (per-worker throughput is derived from successive frames).
 ``--json`` emits the raw frames as JSONL instead, and ``--once`` exits
 after the first frame (smoke tests, supervisors probing a fleet).
 
+``--validate FILE`` checks a finished ``--status-json`` sink instead of
+attaching: every line a ``repro-status-v1`` frame, strictly increasing
+``seq``, and a terminal ``done`` frame with an empty queue and at least one
+worker (and, with ``--expect-completed N``, N resolved cells)::
+
+    python -m repro.distrib.monitor --validate status.jsonl --expect-completed 8
+
 Monitors are second-class on purpose: the handshake checks the protocol
 version but **not** the source-tree fingerprint (a monitor never executes
 cells, so any checkout may observe any sweep), and an attached monitor
@@ -26,7 +33,8 @@ import argparse
 import json
 import socket
 import sys
-from typing import Iterator, Optional, TextIO
+from pathlib import Path
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .config import DEFAULT_TIMEOUTS
 from .protocol import (
@@ -134,15 +142,69 @@ def render_frame(frame: dict, previous: Optional[dict], out: TextIO) -> None:
     out.flush()
 
 
+def status_stream_problems(frames: Sequence[dict], expect_completed: Optional[int] = None) -> list[str]:
+    """Why a recorded status stream is not a complete, well-formed feed (empty if it is)."""
+    if not frames:
+        return ["status sink stayed empty"]
+    problems = []
+    schemas = sorted({str(frame.get("schema")) for frame in frames} - {STATUS_SCHEMA})
+    if schemas:
+        problems.append(f"frames with schema {', '.join(schemas)}, expected {STATUS_SCHEMA}")
+    seqs = [frame.get("seq") for frame in frames]
+    if not all(isinstance(seq, int) for seq in seqs) or any(b <= a for a, b in zip(seqs, seqs[1:])):
+        problems.append(f"seq is not strictly increasing: {seqs}")
+    final = frames[-1]
+    if final.get("done") is not True:
+        problems.append(f"last frame is not a terminal done frame: {final}")
+    if expect_completed is not None and final.get("completed") != expect_completed:
+        problems.append(f"terminal frame resolved {final.get('completed')} cells, expected {expect_completed}")
+    if final.get("queue_depth") != 0:
+        problems.append(f"terminal frame has queue depth {final.get('queue_depth')}")
+    if not final.get("workers"):
+        problems.append("terminal frame lists no workers")
+    return problems
+
+
+def validate(path: Path, expect_completed: Optional[int] = None) -> int:
+    """``--validate``: check a ``--status-json`` sink; 0 when it is complete and well formed."""
+    try:
+        frames = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    except (OSError, ValueError) as exc:
+        print(f"monitor: cannot read status stream {path}: {exc}", file=sys.stderr)
+        return 1
+    if not all(isinstance(frame, dict) for frame in frames):
+        print(f"monitor: {path}: a line is not a JSON object", file=sys.stderr)
+        return 1
+    problems = status_stream_problems(frames, expect_completed)
+    for problem in problems:
+        print(f"monitor: {path}: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"status stream OK ({len(frames)} frames, {len(frames[-1]['workers'])} workers)")
+    return 0
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Attach a live read-only dashboard to a running sweep coordinator."
     )
-    parser.add_argument(
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--connect",
-        required=True,
         metavar="HOST:PORT",
         help="coordinator address (examples/sweep_scenarios.py --serve)",
+    )
+    source.add_argument(
+        "--validate",
+        type=Path,
+        metavar="FILE",
+        help="check a finished --status-json sink instead of attaching; exit 1 on any problem",
+    )
+    parser.add_argument(
+        "--expect-completed",
+        type=int,
+        metavar="N",
+        help="with --validate: the terminal frame must report N resolved cells",
     )
     parser.add_argument(
         "--json",
@@ -164,6 +226,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="socket receive timeout between frames",
     )
     args = parser.parse_args(argv)
+    if args.validate is not None:
+        return validate(args.validate, args.expect_completed)
+    if args.expect_completed is not None:
+        parser.error("--expect-completed needs --validate")
     address = parse_address(args.connect)
     try:
         channel = attach(

@@ -55,15 +55,16 @@ def high_frequency_retention(
     fx = np.fft.fftfreq(width)[None, :]
     radius = np.sqrt(fy**2 + fx**2)
     high_band = radius >= cutoff_fraction * radius.max()
-    original_energy = float(np.sum(np.abs(spectrum_original[high_band]) ** 2))
+    # Each band magnitude is taken once and feeds both its energy and the overlap.
+    magnitude_original = np.abs(spectrum_original[high_band])
+    original_energy = float(np.sum(magnitude_original**2))
     if original_energy <= 1e-12:
         return 1.0
-    degraded_energy = float(np.sum(np.abs(spectrum_degraded[high_band]) ** 2))
-    retained = float(
-        np.sum(
-            np.abs(spectrum_degraded[high_band]) * np.abs(spectrum_original[high_band])
-        )
-    ) / np.sqrt(original_energy * max(degraded_energy, 1e-12))
+    magnitude_degraded = np.abs(spectrum_degraded[high_band])
+    degraded_energy = float(np.sum(magnitude_degraded**2))
+    retained = float(np.sum(magnitude_degraded * magnitude_original)) / np.sqrt(
+        original_energy * max(degraded_energy, 1e-12)
+    )
     return float(np.clip(retained, 0.0, 1.0))
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .codec import MAX_QP, MIN_QP, BlockCodec, EncodedFrame
+from .codec import MAX_QP, MIN_QP, BlockCodec, BlockTransform, EncodedFrame
 
 
 @dataclass
@@ -42,7 +42,7 @@ def _clamped_qp(base: Union[float, np.ndarray], offset: float) -> Union[float, n
 
 def encode_at_target_bitrate(
     codec: BlockCodec,
-    pixels: np.ndarray,
+    pixels: Union[np.ndarray, BlockTransform],
     target_bitrate_bps: float,
     fps: float,
     base_qp_map: Union[int, float, np.ndarray] = 30,
@@ -57,6 +57,8 @@ def encode_at_target_bitrate(
     uniform encoding, or a context-aware per-block map) and bisected until
     the achieved size is within ``tolerance`` of the per-frame budget, or the
     iteration limit is reached (the trial-and-error loop the paper uses).
+    ``pixels`` may also be the frame's :meth:`BlockCodec.transform`, so a
+    caller that searches one frame at several bitrates transforms it once.
     """
     if target_bitrate_bps <= 0 or fps <= 0:
         raise ValueError("target_bitrate_bps and fps must be positive")
@@ -68,7 +70,7 @@ def encode_at_target_bitrate(
     high_offset = float(MAX_QP - base.min())
 
     # The transform does not depend on QP: take it once, quantise it per probe.
-    transformed = codec.transform(pixels)
+    transformed = pixels if isinstance(pixels, BlockTransform) else codec.transform(pixels)
     best: Optional[tuple[float, EncodedFrame, float]] = None
     iterations = 0
     offset = 0.0

@@ -175,36 +175,76 @@ class Scene:
     def _object_texture(self, obj: SceneObject, rows: int, cols: int) -> np.ndarray:
         """Texture whose spatial frequency grows with the object's detail scale."""
         rng = np.random.default_rng(self.seed * 1009 + obj.texture_seed)
-        yy, xx = np.mgrid[0:rows, 0:cols]
+        # A row and a column of coordinates, as in _background: each sine
+        # runs on cols or rows values and the sum broadcasts to the region.
+        xx = np.arange(cols)[None, :]
+        yy = np.arange(rows)[:, None]
         # Fine detail => high spatial frequency => first casualty of coarse QP.
         cycles = 1.0 + obj.detail_scale * 14.0
         phase = rng.uniform(0, 2 * np.pi)
-        pattern = np.sin(2 * np.pi * cycles * xx / max(cols, 1) + phase)
-        pattern += np.sin(2 * np.pi * cycles * yy / max(rows, 1) + phase * 0.7)
+        pattern = np.sin(2 * np.pi * cycles * xx / max(cols, 1) + phase) + np.sin(
+            2 * np.pi * cycles * yy / max(rows, 1) + phase * 0.7
+        )
         # A static pseudo-random component representing textual / structural detail.
         static = rng.normal(0, 1.0, size=(rows, cols))
         blend = 0.35 + 0.65 * obj.detail_scale
         texture = (1 - blend) * pattern / 2.0 + blend * static
         return obj.base_intensity + obj.texture_contrast * texture
 
-    def render(self, frame_index: int) -> np.ndarray:
-        """Render one frame as a luma array in [0, 255]."""
+    def render(self, frame_index: int, layers: Optional["SceneLayers"] = None) -> np.ndarray:
+        """Render one frame as a luma array in [0, 255].
+
+        ``layers`` holds the scene's time-invariant layers across frames
+        (see :class:`SceneLayers`); without it they are built for this frame.
+        """
         if not 0 <= frame_index < self.frame_count:
             raise IndexError(f"frame index {frame_index} out of range [0, {self.frame_count})")
+        layers = layers or SceneLayers(self)
         time_s = frame_index / self.fps
-        frame = self._background()
+        frame = layers.background().copy()
         for obj in self.objects:
             row0, row1, col0, col1 = obj.pixel_region(self.height, self.width, time_s)
-            texture = self._object_texture(obj, row1 - row0, col1 - col0)
-            frame[row0:row1, col0:col1] = texture
-        return np.clip(frame, 0, 255)
+            frame[row0:row1, col0:col1] = layers.texture(obj, row1 - row0, col1 - col0)
+        return np.clip(frame, 0, 255, out=frame)
 
     def to_source(self) -> "SceneVideoSource":
         return SceneVideoSource(self)
 
 
+class SceneLayers:
+    """A scene's time-invariant layers, each built on first use.
+
+    The background depends only on the scene's size and seed, and an
+    object's texture only on the object and the size of its region, so
+    frames rendered through one instance share them.  A moving object's
+    region can change size by a pixel through rounding, hence the size in
+    the texture key.  Callers must not write into the arrays returned.
+    """
+
+    def __init__(self, scene: Scene) -> None:
+        self.scene = scene
+        self._background: Optional[np.ndarray] = None
+        self._textures: dict[tuple[str, int, int], np.ndarray] = {}
+
+    def background(self) -> np.ndarray:
+        if self._background is None:
+            self._background = self.scene._background()
+        return self._background
+
+    def texture(self, obj: SceneObject, rows: int, cols: int) -> np.ndarray:
+        key = (obj.name, rows, cols)
+        if key not in self._textures:
+            self._textures[key] = self.scene._object_texture(obj, rows, cols)
+        return self._textures[key]
+
+
 class SceneVideoSource(VideoSource):
-    """Adapts a :class:`Scene` to the :class:`VideoSource` interface."""
+    """Adapts a :class:`Scene` to the :class:`VideoSource` interface.
+
+    The source keeps every frame it rendered and the scene's
+    :class:`SceneLayers`, so its frames share one background and one
+    texture per object and region size.
+    """
 
     def __init__(self, scene: Scene) -> None:
         self.scene = scene
@@ -212,13 +252,14 @@ class SceneVideoSource(VideoSource):
         self.height = scene.height
         self.width = scene.width
         self._cache: dict[int, np.ndarray] = {}
+        self._layers = SceneLayers(scene)
 
     def frame_count(self) -> int:
         return self.scene.frame_count
 
     def frame_at(self, index: int) -> VideoFrame:
         if index not in self._cache:
-            self._cache[index] = self.scene.render(index)
+            self._cache[index] = self.scene.render(index, self._layers)
         return VideoFrame(
             frame_id=index,
             timestamp=index / self.fps,

@@ -22,6 +22,9 @@ from repro.devibench import (
     format_table1,
     table1_rows,
 )
+from repro.devibench.evaluate import EvaluationResult, SampleEvaluation
+from repro.mllm.model import MODE_FREE_RESPONSE, MODE_MULTIPLE_CHOICE
+from repro.video.frames import VideoFrame
 from repro.video.scene import CATEGORY_TEXT_RICH, build_scene_corpus
 
 
@@ -261,7 +264,115 @@ class TestEvaluator:
         ours = evaluator.evaluate(60_000.0, context_aware=True)
         assert ours.accuracy >= baseline.accuracy
 
+    def test_label_override(self, pipeline_report):
+        evaluator = BenchmarkEvaluator(pipeline_report.benchmark, rate_fps=2.0)
+        assert evaluator.evaluate(60_000.0, context_aware=False, max_samples=1).label == "baseline@60kbps"
+        assert evaluator.evaluate(60_000.0, False, label="ours", max_samples=1).label == "ours"
+
     def test_coarse_qa_breakage_structure(self, collection):
         result = coarse_qa_breakage_rate(collection)
         assert set(result) == {"total_coarse_qa", "flipped", "flip_rate", "paper_flip_rate"}
         assert 0.0 <= result["flip_rate"] <= 1.0
+
+
+def _per_point_reference(evaluator, bitrate, context_aware, max_samples=None):
+    """The per-point evaluation loop: every sample encodes its own frames."""
+    samples = evaluator.benchmark.samples
+    if max_samples is not None:
+        samples = samples[:max_samples]
+    evaluations = []
+    for sample in samples:
+        scene = evaluator.benchmark.scene_for(sample)
+        stride = max(1, int(round(scene.fps / evaluator.sampling_fps)))
+        indices = list(range(0, scene.frame_count, stride))[: evaluator.frames_per_video]
+        originals = [VideoFrame(index, index / scene.fps, scene.render(index)) for index in indices]
+        decoded_frames = []
+        total_bits = 0.0
+        for frame in originals:
+            if context_aware:
+                outcome = evaluator.streamer.encode_frame(
+                    scene, frame, sample.question, target_bitrate_bps=bitrate, fps=evaluator.rate_fps
+                )
+            else:
+                outcome = evaluator.baseline.encode_frame(
+                    frame, target_bitrate_bps=bitrate, fps=evaluator.rate_fps
+                )
+            total_bits += outcome.encoded.total_bits
+            decoded_frames.append(VideoFrame(frame.frame_id, frame.timestamp, outcome.decoded))
+        answer = evaluator.mllm.answer_question(
+            sample.to_fact(),
+            scene,
+            decoded_frames,
+            originals,
+            mode=evaluator.mode,
+            choices=list(sample.options) if evaluator.mode == MODE_MULTIPLE_CHOICE else None,
+            apply_frame_sampling=False,
+        )
+        evaluations.append(
+            SampleEvaluation(
+                sample=sample,
+                correct=sample.is_correct(answer.answer) if evaluator.mode == MODE_MULTIPLE_CHOICE else answer.correct,
+                achieved_bitrate_bps=total_bits / max(len(originals), 1) * evaluator.rate_fps,
+                evidence_quality=answer.evidence_quality,
+                answer=answer.answer,
+            )
+        )
+    return EvaluationResult(
+        label=("context-aware" if context_aware else "baseline") + f"@{bitrate / 1000:.0f}kbps",
+        target_bitrate_bps=bitrate,
+        context_aware=context_aware,
+        accuracy=float(np.mean([e.correct for e in evaluations])),
+        mean_achieved_bitrate_bps=float(np.mean([e.achieved_bitrate_bps for e in evaluations])),
+        evaluations=evaluations,
+    )
+
+
+class TestOnePassEvaluation:
+    """``evaluate_points`` equals evaluating each point on its own, field by field."""
+
+    #: Both methods at two bitrates, out of order, with one point repeated.
+    POINTS = [(150_000.0, True), (40_000.0, False), (150_000.0, False), (40_000.0, True), (40_000.0, False)]
+
+    @pytest.fixture(scope="class")
+    def interleaved(self, pipeline_report):
+        # Scenes taken in turn, so one scene's samples are not adjacent: the
+        # pass groups them by scene and must still return them in order.
+        benchmark = pipeline_report.benchmark
+        by_scene = {}
+        for sample in benchmark.samples:
+            by_scene.setdefault(sample.scene_name, []).append(sample)
+        groups = list(by_scene.values())
+        samples = [group[turn] for turn in range(max(map(len, groups))) for group in groups if turn < len(group)]
+        names = [sample.scene_name for sample in samples]
+        assert any(names[i] == names[j] for i in range(len(names)) for j in range(i + 2, len(names)))
+        assert len(samples) >= 4
+        return DeViBench(samples, scenes=benchmark.scenes)
+
+    @staticmethod
+    def _assert_same_result(result, reference):
+        assert result.sample_count == reference.sample_count
+        for evaluation, expected in zip(result.evaluations, reference.evaluations):
+            assert evaluation == expected
+        assert result == reference
+
+    @pytest.mark.parametrize("mode", [MODE_MULTIPLE_CHOICE, MODE_FREE_RESPONSE])
+    def test_grid_equals_per_point_loop(self, interleaved, mode):
+        evaluator = BenchmarkEvaluator(interleaved, rate_fps=2.0, mode=mode)
+        results = evaluator.evaluate_points(self.POINTS)
+        assert len(results) == len(self.POINTS)
+        for result, (bitrate, context_aware) in zip(results, self.POINTS):
+            self._assert_same_result(result, _per_point_reference(evaluator, bitrate, context_aware))
+
+    def test_max_samples(self, interleaved):
+        evaluator = BenchmarkEvaluator(interleaved, rate_fps=2.0, mode=MODE_FREE_RESPONSE)
+        points = self.POINTS[:2]
+        for result, (bitrate, context_aware) in zip(evaluator.evaluate_points(points, max_samples=3), points):
+            assert result.sample_count == 3
+            self._assert_same_result(result, _per_point_reference(evaluator, bitrate, context_aware, 3))
+
+    def test_one_point_evaluate_is_the_same_pass(self, interleaved):
+        evaluator = BenchmarkEvaluator(interleaved, rate_fps=2.0)
+        self._assert_same_result(
+            evaluator.evaluate(40_000.0, context_aware=True, max_samples=4),
+            _per_point_reference(evaluator, 40_000.0, True, 4),
+        )

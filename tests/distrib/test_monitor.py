@@ -16,7 +16,7 @@ import pytest
 
 from repro.distrib import DistributedBackend
 from repro.distrib.coordinator import SweepCoordinator
-from repro.distrib.monitor import MonitorError, attach, frames, main as monitor_main
+from repro.distrib.monitor import MonitorError, attach, frames, main as monitor_main, status_stream_problems
 from repro.distrib.protocol import STATUS_SCHEMA
 from repro.distrib.worker import run_worker
 from repro.obs import WORKER_COUNTER_FIELDS
@@ -315,3 +315,91 @@ class TestMonitorCli:
 
         with pytest.raises(MonitorError):
             list(frames(_FakeChannel()))
+
+
+def _frame(seq, **fields):
+    frame = {"schema": STATUS_SCHEMA, "seq": seq, "done": False, "completed": 0, "queue_depth": 1, "workers": {}}
+    frame.update(fields)
+    return frame
+
+
+def _good_stream():
+    return [
+        _frame(0),
+        _frame(1, completed=5, queue_depth=3, workers={"w0": {"completed": 5}}),
+        _frame(4, done=True, completed=8, queue_depth=0, workers={"w0": {"completed": 8}}),
+    ]
+
+
+def _write(tmp_path, frames):
+    path = tmp_path / "status.jsonl"
+    path.write_text("".join(json.dumps(frame) + "\n" for frame in frames))
+    return path
+
+
+class TestValidateStatusStream:
+    def test_real_sink_passes(self, tmp_path, capsys):
+        sink = tmp_path / "status.jsonl"
+        backend = DistributedBackend(
+            listen=("127.0.0.1", 0),
+            fingerprint=FINGERPRINT,
+            startup_timeout_s=30,
+            status_json=sink,
+            status_interval_s=0.05,
+        )
+        _start_worker(backend.address)
+        list(backend.execute(_items(5)))
+        backend.close()
+        assert monitor_main(["--validate", str(sink), "--expect-completed", "5"]) == 0
+        assert "status stream OK" in capsys.readouterr().out
+        assert monitor_main(["--validate", str(sink), "--expect-completed", "6"]) == 1
+
+    def test_good_stream_passes_with_and_without_expected_count(self, tmp_path, capsys):
+        path = _write(tmp_path, _good_stream())
+        assert monitor_main(["--validate", str(path), "--expect-completed", "8"]) == 0
+        assert monitor_main(["--validate", str(path)]) == 0
+        assert capsys.readouterr().out.count("status stream OK (3 frames, 1 workers)") == 2
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda frames: frames.clear(), "status sink stayed empty"),
+            (lambda frames: frames[1].update(schema="repro-status-v0"), "schema repro-status-v0"),
+            (lambda frames: frames[1].update(seq=7), "seq is not strictly increasing"),
+            (lambda frames: frames[1].update(seq=0), "seq is not strictly increasing"),
+            (lambda frames: frames[1].pop("seq"), "seq is not strictly increasing"),
+            (lambda frames: frames.pop(), "not a terminal done frame"),
+            (lambda frames: frames[-1].update(done="yes"), "not a terminal done frame"),
+            (lambda frames: frames[-1].update(completed=7), "resolved 7 cells, expected 8"),
+            (lambda frames: frames[-1].update(queue_depth=1), "queue depth 1"),
+            (lambda frames: frames[-1].update(workers={}), "lists no workers"),
+        ],
+        ids=["empty", "schema", "seq-order", "seq-repeat", "seq-missing", "no-done", "done-not-true",
+             "completed", "queue", "workers"],
+    )
+    def test_each_failing_input_exits_one(self, tmp_path, capsys, mutate, message):
+        frames = _good_stream()
+        mutate(frames)
+        assert any(message in problem for problem in status_stream_problems(frames, expect_completed=8))
+        assert monitor_main(["--validate", str(_write(tmp_path, frames)), "--expect-completed", "8"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "status stream OK" not in captured.out
+
+    @pytest.mark.parametrize("content", ["not json\n", "[1, 2]\n"])
+    def test_unreadable_lines_exit_one(self, tmp_path, capsys, content):
+        path = tmp_path / "status.jsonl"
+        path.write_text(content)
+        assert monitor_main(["--validate", str(path)]) == 1
+        assert "monitor:" in capsys.readouterr().err
+
+    def test_missing_file_exits_one(self, tmp_path, capsys):
+        assert monitor_main(["--validate", str(tmp_path / "absent.jsonl")]) == 1
+        assert "cannot read status stream" in capsys.readouterr().err
+
+    def test_needs_exactly_one_of_connect_and_validate(self, tmp_path):
+        path = _write(tmp_path, _good_stream())
+        for argv in ([], ["--connect", "127.0.0.1:1", "--validate", str(path)], ["--connect", "127.0.0.1:1", "--expect-completed", "8"]):
+            with pytest.raises(SystemExit) as excinfo:
+                monitor_main(argv)
+            assert excinfo.value.code == 2

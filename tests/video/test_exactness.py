@@ -1,4 +1,4 @@
-"""The codec's, rate control's and scene's fast paths equal the formulas they replaced.
+"""The codec's, rate control's, scene's and quality metric's fast paths equal the formulas they replaced.
 
 Each test inlines the earlier formula and compares bit for bit on the host
 that runs it; no digest is pinned, so a different libm cannot fail them.
@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.fft import dctn
 
-from repro.video import BlockCodec, CodecConfig, Scene, make_sports_scene
+from repro.video import BlockCodec, CodecConfig, Scene, make_sports_scene, make_street_scene
 from repro.video.codec import _pad_to_blocks, _to_blocks
+from repro.video.quality import high_frequency_retention
 from repro.video.rate_control import encode_at_target_bitrate
+from repro.video.scene import SceneLayers, SceneObject
 
 
 def _log2_bits(quantised: np.ndarray, header_bits: float) -> np.ndarray:
@@ -43,6 +45,49 @@ def _mgrid_background(scene: Scene) -> np.ndarray:
         2 * np.pi * yy / scene.height + phase_y
     )
     return gradient + undulation
+
+
+def _mgrid_texture(scene: Scene, obj: SceneObject, rows: int, cols: int) -> np.ndarray:
+    """An object's texture built on full coordinate grids."""
+    rng = np.random.default_rng(scene.seed * 1009 + obj.texture_seed)
+    yy, xx = np.mgrid[0:rows, 0:cols]
+    cycles = 1.0 + obj.detail_scale * 14.0
+    phase = rng.uniform(0, 2 * np.pi)
+    pattern = np.sin(2 * np.pi * cycles * xx / max(cols, 1) + phase)
+    pattern += np.sin(2 * np.pi * cycles * yy / max(rows, 1) + phase * 0.7)
+    static = rng.normal(0, 1.0, size=(rows, cols))
+    blend = 0.35 + 0.65 * obj.detail_scale
+    texture = (1 - blend) * pattern / 2.0 + blend * static
+    return obj.base_intensity + obj.texture_contrast * texture
+
+
+def _mgrid_render(scene: Scene, frame_index: int) -> np.ndarray:
+    """A frame rendered from scratch with the full-grid background and textures."""
+    time_s = frame_index / scene.fps
+    frame = _mgrid_background(scene)
+    for obj in scene.objects:
+        row0, row1, col0, col1 = obj.pixel_region(scene.height, scene.width, time_s)
+        frame[row0:row1, col0:col1] = _mgrid_texture(scene, obj, row1 - row0, col1 - col0)
+    return np.clip(frame, 0, 255)
+
+
+def _two_abs_retention(original: np.ndarray, degraded: np.ndarray, cutoff_fraction: float = 0.25) -> float:
+    """High-frequency retention taking each band magnitude twice."""
+    spectrum_original = np.fft.fft2(np.asarray(original, dtype=np.float64))
+    spectrum_degraded = np.fft.fft2(np.asarray(degraded, dtype=np.float64))
+    height, width = original.shape
+    fy = np.fft.fftfreq(height)[:, None]
+    fx = np.fft.fftfreq(width)[None, :]
+    radius = np.sqrt(fy**2 + fx**2)
+    high_band = radius >= cutoff_fraction * radius.max()
+    original_energy = float(np.sum(np.abs(spectrum_original[high_band]) ** 2))
+    if original_energy <= 1e-12:
+        return 1.0
+    degraded_energy = float(np.sum(np.abs(spectrum_degraded[high_band]) ** 2))
+    retained = float(
+        np.sum(np.abs(spectrum_degraded[high_band]) * np.abs(spectrum_original[high_band]))
+    ) / np.sqrt(original_energy * max(degraded_energy, 1e-12))
+    return float(np.clip(retained, 0.0, 1.0))
 
 
 def _assert_same_encode(encoded, reference) -> None:
@@ -132,3 +177,80 @@ class TestBroadcastBackground:
         first = scene.render(0)
         first[:] = 0.0
         assert scene.render(0).any()
+
+
+class TestBroadcastTexture:
+    @pytest.mark.parametrize("seed", [0, 3, 2024])
+    @pytest.mark.parametrize("rows,cols", [(54, 24), (43, 21), (37, 53), (1, 9), (9, 1), (1, 1)])
+    def test_matches_mgrid_formula(self, seed, rows, cols):
+        scene = make_sports_scene(seed, height=64, width=96)
+        for obj in scene.objects:
+            texture = scene._object_texture(obj, rows, cols)
+            assert texture.shape == (rows, cols)
+            np.testing.assert_array_equal(texture, _mgrid_texture(scene, obj, rows, cols))
+
+
+class TestSharedLayers:
+    @staticmethod
+    def _moving_scene() -> Scene:
+        # fps and duration changed after construction, before to_source().
+        scene = make_street_scene(3, height=97, width=173)
+        scene.fps = 10.0
+        scene.duration_s = 3.0
+        return scene
+
+    def test_moving_region_changes_size(self):
+        scene = self._moving_scene()
+        pedestrian = scene.object_by_name("pedestrian")
+        assert pedestrian.velocity != (0.0, 0.0)
+        sizes = set()
+        for index in range(scene.frame_count):
+            row0, row1, col0, col1 = pedestrian.pixel_region(scene.height, scene.width, index / scene.fps)
+            sizes.add((row1 - row0, col1 - col0))
+        assert len(sizes) > 1, sizes
+
+    def test_source_frames_equal_fresh_renders(self):
+        scene = self._moving_scene()
+        source = scene.to_source()
+        assert source.frame_count() == scene.frame_count == 30
+        for index in range(source.frame_count()):
+            frame = source.frame_at(index)
+            assert frame.timestamp == index / 10.0
+            np.testing.assert_array_equal(frame.pixels, scene.render(index))
+            np.testing.assert_array_equal(frame.pixels, _mgrid_render(scene, index))
+
+    def test_one_texture_per_object_and_size(self):
+        scene = self._moving_scene()
+        layers = SceneLayers(scene)
+        for index in range(scene.frame_count):
+            np.testing.assert_array_equal(scene.render(index, layers), _mgrid_render(scene, index))
+        # The pedestrian and its face move and take two sizes each; the rest stand still.
+        assert len(layers._textures) == len(scene.objects) + 2
+
+    def test_rendering_leaves_the_layers_unchanged(self):
+        scene = make_sports_scene(1, height=64, width=96)
+        layers = SceneLayers(scene)
+        first = scene.render(0, layers)
+        first[:] = 0.0
+        np.testing.assert_array_equal(layers.background(), _mgrid_background(scene))
+        np.testing.assert_array_equal(scene.render(5, layers), _mgrid_render(scene, 5))
+
+
+class TestRetentionTakesEachMagnitudeOnce:
+    @pytest.mark.parametrize("qp", [10, 30, 45, 51])
+    def test_matches_two_abs_formula_on_decoded_regions(self, frame, qp):
+        codec = BlockCodec()
+        decoded = codec.decode(codec.encode(frame, qp))
+        for region in ((slice(None), slice(None)), (slice(10, 60), slice(20, 131)), (slice(3, 4), slice(0, 40))):
+            original, degraded = frame[region], decoded[region]
+            assert high_frequency_retention(original, degraded) == _two_abs_retention(original, degraded)
+
+    def test_matches_two_abs_formula_at_the_edges(self):
+        rng = np.random.default_rng(8)
+        noisy = rng.uniform(0, 255, size=(33, 47))
+        flat = np.full((33, 47), 90.0)
+        for original, degraded in ((noisy, flat), (flat, noisy), (noisy, noisy), (noisy, noisy * 0.5)):
+            for cutoff in (0.1, 0.25, 0.9):
+                assert high_frequency_retention(original, degraded, cutoff) == _two_abs_retention(
+                    original, degraded, cutoff
+                )
